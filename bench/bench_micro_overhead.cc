@@ -1,7 +1,11 @@
 // Micro-costs backing Figure 1's "no significant cost" claim, measured with
 // google-benchmark: hook firing (armed/unarmed), context synchronization,
-// fault-site gating, and the AutoWatchdog generation pipeline itself.
+// fault-site gating, the simulator's delivery precision, and the
+// AutoWatchdog generation pipeline itself.
 #include <benchmark/benchmark.h>
+
+#include <algorithm>
+#include <vector>
 
 #include "src/autowd/autowatchdog.h"
 #include "src/common/checksum.h"
@@ -10,6 +14,7 @@
 #include "src/kvs/ir_model.h"
 #include "src/kvs/memtable.h"
 #include "src/kvs/wal.h"
+#include "src/sim/sim_net.h"
 #include "src/watchdog/context.h"
 
 namespace {
@@ -193,6 +198,32 @@ void BM_WalFrameRecord(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_WalFrameRecord);
+
+// How late a 20 us SimNet message (Figure 1's hop) surfaces past its
+// modelled latency, as the median over the run. The kvs request path pays
+// this on every hop, so it must stay far below the latency it models.
+void BM_SimNet_OneWayOvershoot_20us(benchmark::State& state) {
+  wdg::RealClock& clock = wdg::RealClock::Instance();
+  wdg::FaultInjector injector(clock);
+  wdg::NetOptions options;
+  options.base_latency = wdg::Us(20);
+  options.per_kb_latency = 0;
+  wdg::SimNet net(clock, injector, options);
+  wdg::Endpoint* sender = net.CreateEndpoint("a");
+  wdg::Endpoint* receiver = net.CreateEndpoint("b");
+  std::vector<double> overshoot_us;
+  for (auto _ : state) {
+    const wdg::TimeNs sent = clock.NowNs();
+    (void)sender->Send("b", "ping", "x");
+    benchmark::DoNotOptimize(receiver->Recv(wdg::Ms(100)));
+    overshoot_us.push_back(static_cast<double>(clock.NowNs() - sent - options.base_latency) /
+                           static_cast<double>(wdg::kNsPerUs));
+  }
+  const auto mid = overshoot_us.begin() + static_cast<std::ptrdiff_t>(overshoot_us.size() / 2);
+  std::nth_element(overshoot_us.begin(), mid, overshoot_us.end());
+  state.counters["overshoot_us_p50"] = *mid;
+}
+BENCHMARK(BM_SimNet_OneWayOvershoot_20us)->UseRealTime();
 
 // The whole AutoWatchdog analysis pipeline (reduce + infer + plan) on the
 // full kvs module — the offline generation cost.

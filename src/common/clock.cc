@@ -29,8 +29,16 @@ TimeNs RealClock::NowNs() {
 }
 
 void RealClock::SleepFor(DurationNs ns) {
-  if (ns > 0) {
+  if (ns <= 0) {
+    return;
+  }
+  if (ns >= kPreciseWaitBelow) {
     std::this_thread::sleep_for(std::chrono::nanoseconds(ns));
+    return;
+  }
+  const TimeNs deadline = NowNs() + ns;
+  while (NowNs() < deadline) {
+    std::this_thread::yield();
   }
 }
 

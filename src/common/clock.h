@@ -47,12 +47,22 @@ class Clock {
   bool WaitUntil(TimeNs deadline, const std::function<bool()>& pred, DurationNs poll = Ms(1));
 };
 
+// RealClock::SleepFor yield-spins waits shorter than this instead of sleeping.
+// The kernel stretches every timed sleep by the thread's timer slack (50 us by
+// default), which swamps the simulator's microsecond latency model: a 5 us
+// SimDisk op slept ~55-60 us. About twice the default slack, so every wait
+// the slack could dominate is precise, while millisecond polls keep sleeping
+// and cost no CPU.
+constexpr DurationNs kPreciseWaitBelow = Us(100);
+
 // Wall-clock-backed monotonic clock (CLOCK_MONOTONIC).
 class RealClock : public Clock {
  public:
   static RealClock& Instance();
 
   TimeNs NowNs() override;
+  // Never returns before `ns` has passed; waits below kPreciseWaitBelow also
+  // return within a few microseconds of it.
   void SleepFor(DurationNs ns) override;
 };
 

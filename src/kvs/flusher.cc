@@ -76,9 +76,14 @@ wdg::Status Flusher::FlushOnce(bool force) {
     memtable_.AbortFlush();
     return status;
   }
+  // Register the partition before the table is indexed: once indexed,
+  // compaction may merge and delete it, and a later Register would either
+  // fail NOT_FOUND or leave a stale partition behind for the fsck.
+  const wdg::Status registered =
+      partitions_.Register(path, entries.front().first, entries.back().first);
   index_.AddTable(path);
   memtable_.EndFlush();
-  WDG_RETURN_IF_ERROR(partitions_.Register(path, entries.front().first, entries.back().first));
+  WDG_RETURN_IF_ERROR(registered);
   flush_count_.fetch_add(1);
   metrics_.GetCounter("kvs.flusher.flushes")->Increment();
   metrics_.GetGauge("kvs.flusher.last_flush_ns")->Set(static_cast<double>(clock_.NowNs()));

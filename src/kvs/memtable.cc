@@ -1,5 +1,7 @@
 #include "src/kvs/memtable.h"
 
+#include <algorithm>
+
 namespace kvs {
 
 void Memtable::Set(const std::string& key, std::string value) {
@@ -53,6 +55,24 @@ int64_t Memtable::ApproximateBytes() const {
   return bytes_;
 }
 
+int64_t Memtable::TakeLowWater() {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (reclaimed_) {
+    low_water_ = reclaim_low_;
+  } else if (!reclaimed_before_) {
+    low_water_ = std::max<int64_t>(0, low_water_ + bytes_ - bytes_at_take_);
+  }
+  reclaimed_before_ = reclaimed_;
+  reclaimed_ = false;
+  bytes_at_take_ = bytes_;
+  return low_water_;
+}
+
+void Memtable::NoteReclaimLocked() {
+  reclaim_low_ = reclaimed_ ? std::min(reclaim_low_, bytes_) : bytes_;
+  reclaimed_ = true;
+}
+
 size_t Memtable::EntryCount() const {
   std::lock_guard<std::mutex> lock(mu_);
   return entries_.size();
@@ -63,6 +83,7 @@ std::vector<std::pair<std::string, MemEntry>> Memtable::Drain() {
   std::vector<std::pair<std::string, MemEntry>> out(entries_.begin(), entries_.end());
   entries_.clear();
   bytes_ = 0;
+  NoteReclaimLocked();
   return out;
 }
 
@@ -75,6 +96,7 @@ void Memtable::Clear() {
   std::lock_guard<std::mutex> lock(mu_);
   entries_.clear();
   bytes_ = 0;
+  NoteReclaimLocked();
 }
 
 std::vector<std::pair<std::string, MemEntry>> Memtable::BeginFlush() {
@@ -88,6 +110,7 @@ std::vector<std::pair<std::string, MemEntry>> Memtable::BeginFlush() {
 void Memtable::EndFlush() {
   std::lock_guard<std::mutex> lock(mu_);
   flushing_.clear();
+  NoteReclaimLocked();
 }
 
 void Memtable::AbortFlush() {

@@ -30,6 +30,19 @@ class Memtable {
   int64_t ApproximateBytes() const;
   size_t EntryCount() const;
 
+  // The memtable's low-water mark for a signal that samples it sparsely
+  // (kvs.res.rss_bytes). ApproximateBytes, sampled, is a sawtooth whose
+  // flushes fall between samples, and it reads as growth. Here a sample
+  // whose interval saw a flush finish reads what the emptiest flush left
+  // behind (taken at EndFlush). The next sample holds that reading, and each
+  // later sample without a flush adds its interval's growth. So growth
+  // counts only once the flusher has missed a whole interval. The mark stays
+  // flat while the flusher keeps up, and also when writes and flushes stop
+  // together: a hung WAL append holds the flush lock and freezes the
+  // memtable wherever its sawtooth was. It climbs only by growth that no
+  // flush takes back.
+  int64_t TakeLowWater();
+
   // Snapshot-and-clear for flushing: returns the sorted contents atomically.
   std::vector<std::pair<std::string, MemEntry>> Drain();
   std::vector<std::pair<std::string, MemEntry>> Snapshot() const;
@@ -50,10 +63,19 @@ class Memtable {
   std::timed_mutex& flush_lock() { return flush_lock_; }
 
  private:
+  // Records a reclaim for TakeLowWater; mu_ held.
+  void NoteReclaimLocked();
+
   mutable std::mutex mu_;
   std::map<std::string, MemEntry> entries_;
   std::map<std::string, MemEntry> flushing_;  // in-flight flush, still readable
   int64_t bytes_ = 0;
+  // TakeLowWater state, each since its previous call unless noted.
+  bool reclaimed_ = false;            // a flush finished (or the table was emptied)
+  bool reclaimed_before_ = true;      // reclaimed_ in the interval before
+  int64_t reclaim_low_ = 0;           // smallest size a reclaim left behind
+  int64_t bytes_at_take_ = 0;         // size at the previous call
+  int64_t low_water_ = 0;             // its previous return value
   std::timed_mutex flush_lock_;
 };
 

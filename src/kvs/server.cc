@@ -278,8 +278,9 @@ void KvsNode::MaintenanceLoop() {
         }
       }
       ctx.Set(keys::ResOpenHandles(), open_handles);
-      ctx.Set(keys::ResRssBytes(),
-              static_cast<int64_t>(memtable_.ApproximateBytes()));
+      // The memtable's low-water mark, not its current size: flushes reclaim
+      // between samples, and a sampled sawtooth reads as growth.
+      ctx.Set(keys::ResRssBytes(), memtable_.TakeLowWater());
       ctx.Set(keys::ResQueueDepth(),
               static_cast<int64_t>(endpoint_->PendingCount()));
       if (disk_lat_ns >= 0) {

@@ -64,25 +64,37 @@ std::optional<Message> Endpoint::PopMatching(const std::function<bool(const Mess
   std::unique_lock<std::mutex> lock(mu_);
   while (true) {
     const TimeNs now = clock.NowNs();
-    // Scan deliverable messages for a match.
-    for (auto it = inbox_.begin(); it != inbox_.end() && it->first <= now; ++it) {
-      if (pred(it->second)) {
-        Message msg = std::move(it->second);
-        inbox_.erase(it);
+    // Scan deliverable messages for a match; `next` stops at the first
+    // message still in flight (the inbox is ordered by deliver_at).
+    auto next = inbox_.begin();
+    for (; next != inbox_.end() && next->first <= now; ++next) {
+      if (pred(next->second)) {
+        Message msg = std::move(next->second);
+        inbox_.erase(next);
         return msg;
       }
     }
     if (now >= deadline) {
       return std::nullopt;
     }
+    if (next != inbox_.end() && next->first < deadline &&
+        next->first - now < kPreciseWaitBelow) {
+      // Due within the timer slack, where a cv wait would oversleep the
+      // modelled latency several times over: wait precisely, off the lock so
+      // senders can still deliver.
+      const DurationNs remaining = next->first - now;
+      lock.unlock();
+      clock.SleepFor(remaining);
+      lock.lock();
+      continue;
+    }
     // Wake at the earlier of: next message becoming deliverable, our deadline,
     // or a new delivery (cv notification). A short cap keeps SimClock users live.
     TimeNs wake = deadline;
-    if (!inbox_.empty()) {
-      wake = std::min(wake, inbox_.begin()->first);
+    if (next != inbox_.end()) {
+      wake = std::min(wake, next->first);
     }
-    const DurationNs wait = std::min<DurationNs>(std::max<DurationNs>(wake - now, 0), Ms(5));
-    cv_.wait_for(lock, std::chrono::nanoseconds(std::max<DurationNs>(wait, Us(100))));
+    cv_.wait_for(lock, std::chrono::nanoseconds(std::min<DurationNs>(wake - now, Ms(5))));
   }
 }
 

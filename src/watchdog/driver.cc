@@ -849,23 +849,29 @@ bool WatchdogDriver::RunValidationProbe() {
     } catch (...) {
       status = InternalError("validation probe crashed");
     }
-    std::lock_guard<std::mutex> probe_lock(raw->mu);
-    raw->failed = !status.ok();
-    raw->done = true;
+    {
+      std::lock_guard<std::mutex> probe_lock(raw->mu);
+      raw->failed = !status.ok();
+      raw->done = true;
+    }
+    raw->cv.notify_all();
   });
+  // Wake as soon as the probe returns. The deadline is on clock_, so the
+  // loop re-reads it after every wait (a SimClock does not move with real
+  // time).
   const TimeNs deadline = clock_.NowNs() + options_.validation_timeout;
   bool done = false;
   bool failed = false;
-  while (clock_.NowNs() < deadline) {
-    {
-      std::lock_guard<std::mutex> probe_lock(raw->mu);
-      if (raw->done) {
-        done = true;
-        failed = raw->failed;
+  {
+    std::unique_lock<std::mutex> probe_lock(raw->mu);
+    for (TimeNs now = clock_.NowNs(); now < deadline; now = clock_.NowNs()) {
+      if (raw->cv.wait_for(probe_lock, std::chrono::nanoseconds(deadline - now),
+                           [raw] { return raw->done; })) {
         break;
       }
     }
-    clock_.SleepFor(Ms(1));
+    done = raw->done;
+    failed = raw->failed;
   }
   {
     std::lock_guard<std::mutex> lock(listeners_mu_);

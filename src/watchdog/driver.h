@@ -44,6 +44,7 @@
 #pragma once
 
 #include <atomic>
+#include <condition_variable>
 #include <functional>
 #include <map>
 #include <memory>
@@ -516,6 +517,7 @@ class WatchdogDriver {
   // Probe validation bookkeeping (threads are rare and short-lived).
   struct ProbeRun {
     std::mutex mu;
+    std::condition_variable cv;  // signalled once done is set
     bool done = false;
     bool failed = false;
     JoiningThread thread;

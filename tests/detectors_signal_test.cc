@@ -18,6 +18,7 @@
 #include "src/common/strings.h"
 #include "src/detectors/fusion.h"
 #include "src/detectors/signal_suite.h"
+#include "src/kvs/memtable.h"
 #include "src/watchdog/context.h"
 #include "src/watchdog/driver.h"
 
@@ -86,6 +87,101 @@ TEST(LeakSlopeStateTest, VariableStepRampStillFires) {
     fired = state.Observe(value);
   }
   EXPECT_TRUE(fired);
+}
+
+// --- kvs rss feed: the memtable's low-water mark -----------------------------
+
+// The kvs node samples its memtable every 50 ms for kvs.res.rss_bytes. At
+// serving rates the flusher reclaims several times between two samples, so
+// the raw size, sampled, is a random-phase sawtooth that reads as growth.
+// The node publishes Memtable::TakeLowWater() instead; these tests drive a
+// real Memtable through that shape and its two failure shapes.
+class RssLowWaterTest : public ::testing::Test {
+ protected:
+  // Writes fresh keys until the memtable holds at least `target` bytes.
+  void FillTo(int64_t target) {
+    while (memtable_.ApproximateBytes() < target) {
+      memtable_.Set(StrFormat("key%08d", next_key_++), std::string(64, 'v'));
+    }
+  }
+  // One sample interval of a working flusher: 2-6 flushes of a sawtooth 4x
+  // rss_min_growth high (a few writes land during each table write), then
+  // the sample falls at a random phase of the next tooth.
+  void HealthyInterval(Rng& rng) {
+    for (int64_t flushes = rng.Uniform(2, 6); flushes > 0; --flushes) {
+      FillTo(4 * min_growth_);
+      (void)memtable_.BeginFlush();
+      FillTo(memtable_.ApproximateBytes() + rng.Uniform(0, 3) * 64);
+      memtable_.EndFlush();
+    }
+    FillTo(rng.Uniform(0, 4 * min_growth_));
+  }
+
+  const int64_t min_growth_ = SignalSuiteOptions{}.rss_min_growth;
+  kvs::Memtable memtable_;
+  int next_key_ = 0;
+};
+
+TEST_F(RssLowWaterTest, UndersampledFlushSawtoothNeverFires) {
+  Rng rng(17);
+  LeakSlopeState published(min_growth_);
+  LeakSlopeState raw(min_growth_);
+  bool raw_fired = false;
+  for (int sample = 0; sample < 500; ++sample) {
+    HealthyInterval(rng);
+    raw_fired = raw.Observe(memtable_.ApproximateBytes()) || raw_fired;
+    ASSERT_FALSE(published.Observe(memtable_.TakeLowWater())) << "sample " << sample;
+  }
+  // The same samples of the raw size false-alarm: the test has teeth.
+  EXPECT_TRUE(raw_fired);
+}
+
+TEST_F(RssLowWaterTest, WedgedFlusherRampStillFires) {
+  Rng rng(23);
+  LeakSlopeState published(min_growth_);
+  for (int sample = 0; sample < 100; ++sample) {
+    HealthyInterval(rng);
+    ASSERT_FALSE(published.Observe(memtable_.TakeLowWater())) << "healthy sample " << sample;
+  }
+  // The flusher stops reclaiming: every attempt fails and AbortFlush puts
+  // the entries back, while writes keep arriving.
+  bool fired = false;
+  int samples = 0;
+  while (!fired && samples < 20) {
+    for (int attempt = 0; attempt < 5; ++attempt) {
+      FillTo(memtable_.ApproximateBytes() + min_growth_ / 4);
+      (void)memtable_.BeginFlush();
+      memtable_.AbortFlush();
+    }
+    fired = published.Observe(memtable_.TakeLowWater());
+    ++samples;
+  }
+  EXPECT_TRUE(fired) << "no alarm after " << samples << " samples of a wedged flusher";
+}
+
+TEST_F(RssLowWaterTest, FrozenMemtableNeverFires) {
+  // A hung WAL append holds the flush lock: writes and flushes stop
+  // together, at any point of a sample interval, with up to 4x
+  // rss_min_growth written since the last flush. Nothing grows after that,
+  // so nothing fires.
+  Rng rng(29);
+  for (int trial = 0; trial < 200; ++trial) {
+    LeakSlopeState published(min_growth_);
+    for (int sample = 0; sample < 10; ++sample) {
+      HealthyInterval(rng);
+      ASSERT_FALSE(published.Observe(memtable_.TakeLowWater())) << "trial " << trial;
+    }
+    for (int64_t flushes = rng.Uniform(0, 3); flushes > 0; --flushes) {
+      FillTo(4 * min_growth_);
+      (void)memtable_.BeginFlush();
+      memtable_.EndFlush();
+    }
+    FillTo(memtable_.ApproximateBytes() + rng.Uniform(0, 4 * min_growth_));
+    for (int sample = 0; sample < 10; ++sample) {
+      ASSERT_FALSE(published.Observe(memtable_.TakeLowWater()))
+          << "trial " << trial << ", frozen sample " << sample;
+    }
+  }
 }
 
 // --- ThresholdState ---------------------------------------------------------

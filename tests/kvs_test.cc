@@ -2,9 +2,13 @@
 // partition manager, flusher, compaction, replication.
 #include <gtest/gtest.h>
 
+#include <pthread.h>
+#include <sched.h>
+
 #include <atomic>
 
 #include "src/common/checksum.h"
+#include "src/common/strings.h"
 #include "src/common/threading.h"
 #include "src/kvs/ctx_keys.h"
 #include "src/kvs/compaction.h"
@@ -506,6 +510,106 @@ TEST_F(CompactionTest, BackgroundLoopCompacts) {
   clock_.SleepFor(wdg::Ms(80));
   compaction_.Stop();
   EXPECT_EQ(index_.Tables().size(), 1u);
+}
+
+// Flush and compaction race on one index with no faults injected. A flush
+// used to index its table before registering the partition, so a merge in
+// between either deleted the file under Register (the flush failed
+// NOT_FOUND and skipped the WAL truncate) or unregistered the partition
+// before Register added it back for good (the fsck then failed NOT_FOUND on
+// every pass).
+class FlushCompactionStressTest : public KvsDiskFixture {
+ protected:
+  FlushCompactionStressTest()
+      : index_(disk_, memtable_), partitions_(disk_),
+        flusher_(clock_, disk_, memtable_, index_, partitions_, hooks_, metrics_,
+                 FlushOptions()),
+        compaction_(clock_, disk_, index_, partitions_, hooks_, metrics_, MergeOptions()) {}
+  static FlusherOptions FlushOptions() {
+    FlusherOptions options;
+    options.flush_threshold_bytes = 64;
+    options.table_dir = "/sst";
+    return options;
+  }
+  static CompactionOptions MergeOptions() {
+    CompactionOptions options;
+    options.max_tables = 1;  // merge whenever a flush lands
+    options.table_dir = "/sst";
+    return options;
+  }
+  Memtable memtable_;
+  Index index_;
+  PartitionManager partitions_;
+  wdg::HookSet hooks_;
+  wdg::MetricsRegistry metrics_;
+  Flusher flusher_;
+  CompactionManager compaction_;
+};
+
+// Runs the calling thread on the first CPU this process may use. The flush
+// and merge loops both call it, so they share one core and the scheduler
+// switches between them at arbitrary points, inside the flush's publish
+// window too; on separate cores a merge almost never lands there.
+void ShareFirstCpu() {
+  cpu_set_t allowed;
+  if (sched_getaffinity(0, sizeof(allowed), &allowed) != 0) {
+    return;
+  }
+  for (int cpu = 0; cpu < CPU_SETSIZE; ++cpu) {
+    if (CPU_ISSET(cpu, &allowed)) {
+      cpu_set_t one;
+      CPU_ZERO(&one);
+      CPU_SET(cpu, &one);
+      (void)pthread_setaffinity_np(pthread_self(), sizeof(one), &one);
+      return;
+    }
+  }
+}
+
+TEST_F(FlushCompactionStressTest, EveryFlushRegistersAPartitionThatExists) {
+  // Each flush rewrites the same 64 keys with 1 KiB values: the flushed
+  // table is large, so Register's read-and-checksum is a wide window, while
+  // the merged table stays the same size, so a merge fits in one time slice.
+  constexpr int kFlushes = 2000;
+  constexpr int kEntriesPerFlush = 64;
+  std::atomic<bool> flushing{true};
+  wdg::JoiningThread merger([&] {
+    ShareFirstCpu();
+    while (flushing.load()) {
+      if (!compaction_.CompactOnce().ok()) {
+        metrics_.GetCounter("kvs.compaction.errors")->Increment();
+      }
+    }
+  });
+  wdg::Status first_error = wdg::Status::Ok();
+  wdg::JoiningThread flush_loop([&] {
+    ShareFirstCpu();
+    for (int i = 0; i < kFlushes; ++i) {
+      for (int e = 0; e < kEntriesPerFlush; ++e) {
+        memtable_.Set(wdg::StrFormat("k%04d", e),
+                      std::string(1024, static_cast<char>('a' + i % 26)));
+      }
+      const wdg::Status status = flusher_.FlushOnce();
+      if (!status.ok()) {
+        metrics_.GetCounter("kvs.flusher.errors")->Increment();
+        if (first_error.ok()) {
+          first_error = status;
+        }
+      }
+    }
+    flushing.store(false);
+  });
+  flush_loop.Join();
+  merger.Join();
+
+  EXPECT_EQ(metrics_.GetCounter("kvs.flusher.errors")->Value(), 0) << first_error;
+  EXPECT_EQ(metrics_.GetCounter("kvs.compaction.errors")->Value(), 0);
+  EXPECT_EQ(flusher_.flush_count(), kFlushes);
+  EXPECT_GT(compaction_.compaction_count(), 0);
+  for (const PartitionInfo& partition : partitions_.Partitions()) {
+    EXPECT_TRUE(disk_.Exists(partition.path)) << "stale partition " << partition.path;
+  }
+  EXPECT_TRUE(partitions_.ValidateAll().ok());
 }
 
 class ReplicationTest : public ::testing::Test {

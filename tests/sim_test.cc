@@ -1,15 +1,25 @@
 // Unit tests for the simulated disk and network.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <thread>
+#include <vector>
 
 #include "src/common/checksum.h"
+#include "src/common/rng.h"
+#include "src/common/threading.h"
 #include "src/sim/sim_disk.h"
 #include "src/sim/sim_net.h"
 
 namespace wdg {
 namespace {
+
+DurationNs Median(std::vector<DurationNs> values) {
+  const auto mid = values.begin() + static_cast<std::ptrdiff_t>(values.size() / 2);
+  std::nth_element(values.begin(), mid, values.end());
+  return *mid;
+}
 
 class SimDiskTest : public ::testing::Test {
  protected:
@@ -147,6 +157,34 @@ TEST_F(SimDiskTest, SlowFactorMultipliesLatency) {
   const TimeNs start = clock_.NowNs();
   ASSERT_TRUE(disk.Append("/f", "x").ok());
   EXPECT_GE(clock_.NowNs() - start, Ms(15));
+}
+
+TEST_F(SimDiskTest, OpsNeverReturnBeforeTheirModelledCost) {
+  // Microsecond costs, where a sleep would be stretched by the timer slack:
+  // the precise wait must still never cut an op short.
+  DiskOptions options;
+  options.base_latency = Us(5);
+  options.per_kb_latency = Us(2);
+  SimDisk disk(clock_, injector_, options);
+  ASSERT_TRUE(disk.Create("/f").ok());
+  Rng rng(13);
+  std::vector<DurationNs> overshoot;
+  for (int i = 0; i < 300; ++i) {
+    const double slow = i % 3 == 0 ? 1.0 : 1.0 + static_cast<double>(rng.Uniform(1, 30)) / 10.0;
+    disk.SetSlowFactor(slow);
+    const std::string data(static_cast<size_t>(rng.Uniform(0, 4096)), 'd');
+    const DurationNs cost = static_cast<DurationNs>(
+        (static_cast<double>(options.base_latency) +
+         static_cast<double>(options.per_kb_latency) * static_cast<double>(data.size()) / 1024.0) *
+        slow);
+    const TimeNs start = clock_.NowNs();
+    ASSERT_TRUE(disk.Append("/f", data).ok());
+    const DurationNs took = clock_.NowNs() - start;
+    ASSERT_GE(took, cost) << "append " << i << " of " << data.size() << " B at slow x" << slow;
+    overshoot.push_back(took - cost);
+  }
+  // Loose sanity bound only: it must hold on a loaded, shared host.
+  EXPECT_LT(Median(overshoot), Ms(2));
 }
 
 TEST_F(SimDiskTest, ScratchNamespaceIsolatedAndPurgeable) {
@@ -299,6 +337,79 @@ TEST_F(SimNetTest, LatencyDelaysDelivery) {
   ASSERT_TRUE(a->Send("b", "t", "p").ok());
   EXPECT_FALSE(b->Recv(Ms(5)).has_value());  // not yet deliverable
   EXPECT_TRUE(b->Recv(Ms(200)).has_value());
+}
+
+TEST(RealClockTest, SleepForNeverReturnsEarly) {
+  // Both sides of kPreciseWaitBelow: the yield-spin and the plain sleep.
+  RealClock& clock = RealClock::Instance();
+  Rng rng(5);
+  for (int i = 0; i < 200; ++i) {
+    const DurationNs wait = rng.Uniform(1, 2 * kPreciseWaitBelow);
+    const TimeNs start = clock.NowNs();
+    clock.SleepFor(wait);
+    ASSERT_GE(clock.NowNs() - start, wait) << "wait " << wait << " ns";
+  }
+}
+
+// The modelled one-way latency of a message of `bytes` (SimNet::Route).
+DurationNs ModelledLatency(const NetOptions& options, size_t bytes) {
+  return options.base_latency +
+         options.per_kb_latency * static_cast<DurationNs>(bytes / 1024 + 1);
+}
+
+TEST(SimNetLatencyTest, NoMessageSurfacesBeforeItsModelledLatency) {
+  // Figure 1's network (20 us hops) with seeded payload sizes across the
+  // per-KB steps. Recv covers one hop; Call covers the request and the reply.
+  RealClock& clock = RealClock::Instance();
+  FaultInjector injector(clock);
+  NetOptions options;
+  options.base_latency = Us(20);
+  options.per_kb_latency = Us(5);
+  SimNet net(clock, injector, options);
+  Endpoint* client = net.CreateEndpoint("client");
+  Endpoint* server = net.CreateEndpoint("server");
+  Endpoint* echo = net.CreateEndpoint("echo");
+  std::atomic<bool> serving{true};
+  JoiningThread echo_loop([&] {
+    while (serving.load()) {
+      const auto request = echo->Recv(Ms(5));
+      if (request.has_value()) {
+        ASSERT_TRUE(echo->Reply(*request, request->payload).ok());
+      }
+    }
+  });
+  // Declared after the thread, so it stops the loop before the join on
+  // every exit path, a failed assertion included.
+  struct StopOnExit {
+    std::atomic<bool>& flag;
+    ~StopOnExit() { flag.store(false); }
+  } stop_echo{serving};
+
+  Rng rng(2024);
+  std::vector<DurationNs> overshoot;
+  for (int i = 0; i < 600; ++i) {
+    const std::string payload(static_cast<size_t>(rng.Uniform(0, 3 * 1024)), 'p');
+    if (i % 2 == 0) {
+      const DurationNs latency = ModelledLatency(options, payload.size());
+      const TimeNs sent = clock.NowNs();
+      ASSERT_TRUE(client->Send("server", "oneway", payload).ok());
+      const auto msg = server->Recv(Sec(1));
+      const DurationNs took = clock.NowNs() - sent;
+      ASSERT_TRUE(msg.has_value()) << "send " << i;
+      ASSERT_GE(took, latency) << "send " << i << ": " << payload.size() << " B";
+      overshoot.push_back(took - latency);
+    } else {
+      // The echo replies with the same payload, so both hops cost the same.
+      const DurationNs latency = 2 * ModelledLatency(options, payload.size());
+      const TimeNs sent = clock.NowNs();
+      const auto reply = client->Call("echo", "rpc", payload, Sec(1));
+      const DurationNs took = clock.NowNs() - sent;
+      ASSERT_TRUE(reply.ok()) << "call " << i << ": " << reply.status();
+      ASSERT_GE(took, latency) << "call " << i << ": " << payload.size() << " B";
+    }
+  }
+  // Loose sanity bound only: it must hold on a loaded, shared host.
+  EXPECT_LT(Median(overshoot), Ms(2));
 }
 
 }  // namespace

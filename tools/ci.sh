@@ -94,6 +94,13 @@ echo "=== bench trend gate ==="
 # entries (WDG_BENCH_TREND_THRESHOLD overrides). --dry-run: CI gates but only
 # a deliberate full bench run appends to the trend.
 python3 tools/bench_trend.py --dry-run
+echo "=== benchmark self-test ==="
+# The repository's benchmark (BENCHMARK.json, wdbench/) builds src/ on its own,
+# in Release, into a tree inside the plain leg's build directory. Its
+# self-test runs every workload briefly and checks planted defects, so a src/
+# change that breaks the benchmark's build, its metric printing or its
+# failure accounting fails CI here instead of at the next benchmark run.
+CARGO_TARGET_DIR="${PWD}/build-ci/wdbench" python3 wdbench/run.py --self-test
 run_leg build-ci-asan address "$@"
 # TSan leg: the concurrency suites that hammer the sharded context store and
 # batched hook flush, plus the pooled scheduler/executor scale suite
