@@ -42,7 +42,7 @@
 namespace {
 
 constexpr wdg::DurationNs kInterval = wdg::Ms(50);
-constexpr int kStormHangs = 8;  // hang-storm width in adaptive mode
+constexpr int kStormHangs = 8;  // hang-storm width in the storm rows
 
 struct ModeResult {
   std::string mode;
@@ -50,13 +50,6 @@ struct ModeResult {
   double checks_per_sec = 0;
   double p99_queue_delay_us = 0;
   int64_t threads_spawned = 0;
-
-  // Adaptive-mode extras (meaningful only when mode == "adaptive").
-  int64_t scale_up_events = 0;
-  int64_t scale_down_events = 0;
-  int64_t workers_abandoned = 0;
-  int min_workers = 0;
-  bool scaled_back_to_min = false;
 
   // Sharded-mode extras (meaningful only for mode "sharded"/"sharded-idle").
   int shards = 0;
@@ -286,41 +279,28 @@ ModeResult RunPooled(int checkers, wdg::DurationNs duration) {
   return result;
 }
 
-// The storm runs: same probe fleet as RunPooled, but kStormHangs checkers
-// wedge on injected faults mid-run — each eats a worker until the driver
-// abandons it at its deadline, so the pool loses capacity exactly when the
-// queue is backing up. Run twice: with the pool fixed at the RunPooled size
-// ("pooled-storm", the baseline the adaptive executor is judged against) and
-// with the utilization autoscaler on ("adaptive", min 2 / max 16 workers).
-// After the fleet quiesces the adaptive pool must coast back to min_workers.
-ModeResult RunStorm(int checkers, wdg::DurationNs duration, bool adaptive) {
+// The storm run ("pooled-storm"): same probe fleet and fixed pool as
+// RunPooled, but kStormHangs checkers wedge on injected faults mid-run — each
+// eats a worker until the driver abandons it at its deadline and respawns a
+// replacement, so the pool loses a worker exactly when the queue is backing
+// up.
+ModeResult RunStorm(int checkers, wdg::DurationNs duration) {
   wdg::RealClock& clock = wdg::RealClock::Instance();
   wdg::FaultInjector injector(clock, /*seed=*/0x5eedbe9c);
   wdg::WatchdogDriver::Options options;
   options.executor.queue_capacity = 512;
-  if (adaptive) {
-    options.executor.workers = 2;
-    options.executor.adaptive = true;
-    options.executor.min_workers = 2;
-    options.executor.max_workers = 16;
-    options.executor.scale_cooldown = wdg::Ms(50);
-    options.deadline_budget.enabled = true;
-  } else {
-    options.executor.workers = 4;  // same fixed pool as RunPooled
-  }
+  options.executor.workers = 4;  // same fixed pool as RunPooled
   wdg::WatchdogDriver driver(clock, options);
 
   const int hangs = checkers >= kStormHangs ? kStormHangs : 0;
-  std::vector<std::string> names;
-  names.reserve(static_cast<size_t>(checkers));
   for (int i = 0; i < checkers - hangs; ++i) {
     wdg::CheckerOptions checker;
     checker.interval = kInterval;
     checker.timeout = wdg::Ms(400);
     checker.initial_delay = wdg::Ms(i % 50);
-    names.push_back(wdg::StrFormat("p%03d", i));
     driver.AddChecker(std::make_unique<wdg::ProbeChecker>(
-        names.back(), "bench", [] { return wdg::Status::Ok(); }, checker));
+        wdg::StrFormat("p%03d", i), "bench", [] { return wdg::Status::Ok(); },
+        checker));
   }
   for (int i = 0; i < hangs; ++i) {
     wdg::CheckerOptions checker;
@@ -329,9 +309,8 @@ ModeResult RunStorm(int checkers, wdg::DurationNs duration, bool adaptive) {
     checker.adaptive_deadline = false;
     checker.initial_delay = wdg::Ms(i % 50);
     const std::string site = wdg::StrFormat("bench.hang.%d", i);
-    names.push_back(wdg::StrFormat("h%03d", i));
     driver.AddChecker(std::make_unique<wdg::MimicChecker>(
-        names.back(), "bench", nullptr,
+        wdg::StrFormat("h%03d", i), "bench", nullptr,
         [&injector, site](const wdg::CheckContext&, wdg::MimicChecker&) {
           (void)injector.Act(site);
           return wdg::CheckResult::Pass();
@@ -358,35 +337,15 @@ ModeResult RunStorm(int checkers, wdg::DurationNs duration, bool adaptive) {
   const double elapsed_s = static_cast<double>(clock.NowNs() - start) /
                            static_cast<double>(wdg::kNsPerSec);
 
-  ModeResult result;
-  if (adaptive) {
-    // Quiesce the fleet and require the autoscaler to walk back to
-    // min_workers before shutdown.
-    for (const std::string& name : names) {
-      (void)driver.TrySetCheckerEnabled(name, false);
-    }
-    result.min_workers = options.executor.min_workers;
-    const wdg::TimeNs scale_back_deadline = clock.NowNs() + wdg::Sec(5);
-    while (clock.NowNs() < scale_back_deadline) {
-      if (driver.DriverMetrics().target_workers <=
-          options.executor.min_workers) {
-        result.scaled_back_to_min = true;
-        break;
-      }
-      clock.SleepFor(wdg::Ms(10));
-    }
-  }
   (void)driver.Stop();
 
-  result.mode = adaptive ? "adaptive" : "pooled-storm";
+  ModeResult result;
+  result.mode = "pooled-storm";
   result.checkers = checkers;
   result.checks_per_sec =
       static_cast<double>(metrics.executions_completed) / elapsed_s;
   result.p99_queue_delay_us = metrics.queue_delay_p99_ns / 1000.0;
   result.threads_spawned = metrics.threads_spawned;
-  result.scale_up_events = metrics.scale_up_events;
-  result.scale_down_events = metrics.scale_down_events;
-  result.workers_abandoned = metrics.workers_abandoned;
   return result;
 }
 
@@ -410,16 +369,6 @@ void WriteJson(const std::vector<ModeResult>& results, wdg::DurationNs duration)
                  "\"threads_spawned\": %lld",
                  r.checkers, r.mode.c_str(), r.checks_per_sec,
                  r.p99_queue_delay_us, static_cast<long long>(r.threads_spawned));
-    if (r.mode == "adaptive") {
-      std::fprintf(out,
-                   ", \"scale_up_events\": %lld, \"scale_down_events\": %lld, "
-                   "\"workers_abandoned\": %lld, \"min_workers\": %d, "
-                   "\"scaled_back_to_min\": %s",
-                   static_cast<long long>(r.scale_up_events),
-                   static_cast<long long>(r.scale_down_events),
-                   static_cast<long long>(r.workers_abandoned), r.min_workers,
-                   r.scaled_back_to_min ? "true" : "false");
-    }
     if (r.shards > 0) {
       std::fprintf(out,
                    ", \"shards\": %d, \"workers_per_shard\": %d, "
@@ -551,10 +500,8 @@ int main(int argc, char** argv) {
     results.push_back(RunThreadPerCheck(checkers, duration));
     results.push_back(RunPooled(checkers, duration));
     if (checkers >= 64) {
-      // Storm modes only make sense where there is enough load to scale on;
-      // small fleets never leave min_workers.
-      results.push_back(RunStorm(checkers, duration, /*adaptive=*/false));
-      results.push_back(RunStorm(checkers, duration, /*adaptive=*/true));
+      // A hang storm only backs the queue up where there is enough load.
+      results.push_back(RunStorm(checkers, duration));
     }
   }
   for (const int checkers : sharded_fleets) {
@@ -567,7 +514,6 @@ int main(int argc, char** argv) {
                            {"checks/sec", 11},
                            {"p99 q-delay (us)", 17},
                            {"threads spawned", 16},
-                           {"scale up/down", 14},
                            {"batches/skipped", 16}});
   table.PrintHeader();
   for (const ModeResult& r : results) {
@@ -576,12 +522,6 @@ int main(int argc, char** argv) {
          wdg::StrFormat("%.0f", r.checks_per_sec),
          wdg::StrFormat("%.0f", r.p99_queue_delay_us),
          wdg::StrFormat("%lld", static_cast<long long>(r.threads_spawned)),
-         r.mode == "adaptive"
-             ? wdg::StrFormat("%lld/%lld%s",
-                              static_cast<long long>(r.scale_up_events),
-                              static_cast<long long>(r.scale_down_events),
-                              r.scaled_back_to_min ? "" : " (!min)")
-             : "-",
          r.shards > 0
              ? wdg::StrFormat("%lld/%lld",
                               static_cast<long long>(r.batches_dispatched),
@@ -591,23 +531,8 @@ int main(int argc, char** argv) {
   table.PrintRule();
   std::printf("\nthe pooled executor holds thread creation flat (pool size) while "
               "thread-per-check grows linearly with fleet size * rate; the "
-              "storm rows additionally absorb a %d-checker hang storm — "
-              "pooled-storm with the fixed pool, adaptive with the autoscaler "
-              "(which must coast back to min_workers afterwards)\n", kStormHangs);
-  for (const ModeResult& a : results) {
-    if (a.mode != "adaptive") {
-      continue;
-    }
-    for (const ModeResult& b : results) {
-      if (b.mode == "pooled-storm" && b.checkers == a.checkers &&
-          b.p99_queue_delay_us > 0) {
-        std::printf("adaptive vs pooled-storm p99 @ %d checkers: %.2fx%s\n",
-                    a.checkers, a.p99_queue_delay_us / b.p99_queue_delay_us,
-                    a.p99_queue_delay_us <= 2 * b.p99_queue_delay_us
-                        ? " (within 2x)" : " (OVER the 2x budget)");
-      }
-    }
-  }
+              "pooled-storm rows additionally absorb a hang storm of %d "
+              "checkers on the same fixed pool\n", kStormHangs);
   for (const ModeResult& r : results) {
     if (r.mode == "sharded") {
       std::printf("sharded @ %d checkers: %.0f checks/s, p99 %.0f us, "

@@ -179,21 +179,15 @@ class JoiningThread {
   std::thread thread_;
 };
 
-// Resizable pool of long-lived workers draining a bounded task queue.
+// Fixed-size pool of long-lived workers draining a bounded task queue.
 //
 // Each submitted task gets a ticket. A caller that decides a task is wedged
 // calls AbandonIfRunning(ticket): the worker executing it is *abandoned* —
 // its thread leaves the active set, parked on a drain list until Stop, and a
-// replacement worker is spawned (up to the current target) — so pool capacity
-// never shrinks while the hung task blocks only itself. This is the execution
-// half of the watchdog's §3.2 guarantee (a hung checker is detected, never
-// waited on), but the primitive is generic.
-//
-// The pool size is a *target*, not a constant: SetTargetWorkers grows the
-// active set immediately and shrinks it cooperatively — a worker retires only
-// between tasks (after an idle queue wait, or after finishing a task with the
-// queue empty), never mid-task, so resizing can't lose or interrupt work.
-// Retired threads are parked like abandoned ones and joined at Stop.
+// replacement worker is spawned — so pool capacity never shrinks while the
+// hung task blocks only itself. This is the execution half of the watchdog's
+// §3.2 guarantee (a hung checker is detected, never waited on), but the
+// primitive is generic.
 //
 // The queue is a fixed ring owned by the pool (no per-node heap traffic), and
 // every bookkeeping structure is pre-sized, so steady-state submit/dispatch
@@ -217,8 +211,7 @@ class WorkerPool {
 
   explicit WorkerPool(Options options)
       : options_(options),
-        capacity_(options.queue_capacity == 0 ? 1 : options.queue_capacity),
-        target_(options.workers < 0 ? 0 : options.workers) {
+        capacity_(options.queue_capacity == 0 ? 1 : options.queue_capacity) {
     ring_.resize(capacity_);
     claims_.reserve(256);
   }
@@ -233,22 +226,7 @@ class WorkerPool {
       return;
     }
     started_ = true;
-    while (static_cast<int>(workers_.size()) < target_) {
-      SpawnWorkerLocked();
-    }
-  }
-
-  // Resizes the pool toward `n` workers. Growth spawns immediately; shrink is
-  // cooperative (workers retire between tasks once they notice the pool is
-  // over target), so active_workers() converges to the target rather than
-  // jumping. Safe to call at any time, including before Start().
-  void SetTargetWorkers(int n) {
-    std::lock_guard<std::mutex> lock(mu_);
-    target_ = n < 0 ? 0 : n;
-    if (!started_ || stopping_) {
-      return;
-    }
-    while (static_cast<int>(workers_.size()) < target_) {
+    while (static_cast<int>(workers_.size()) < options_.workers) {
       SpawnWorkerLocked();
     }
   }
@@ -278,11 +256,6 @@ class WorkerPool {
     {
       std::lock_guard<std::mutex> lock(mu_);
       to_join.swap(drained_);
-    }
-    to_join.clear();
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      to_join.swap(retired_);
     }
     to_join.clear();
   }
@@ -382,19 +355,13 @@ class WorkerPool {
       }
     }
     abandoned_.fetch_add(1, std::memory_order_relaxed);
-    // The respawn restores capacity but counts against the current target, so
-    // abandonment can never push the pool past what the resizer allows.
-    if (!stopping_ && static_cast<int>(workers_.size()) < target_) {
+    // The respawn restores the configured size, never more.
+    if (!stopping_ && static_cast<int>(workers_.size()) < options_.workers) {
       SpawnWorkerLocked();
     }
     return true;
   }
 
-  int configured_workers() const { return options_.workers; }
-  int target_workers() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return target_;
-  }
   int active_workers() const {
     std::lock_guard<std::mutex> lock(mu_);
     return static_cast<int>(workers_.size());
@@ -423,10 +390,9 @@ class WorkerPool {
   int ActiveWorkersHint() const {
     return workers_gauge_.load(std::memory_order_relaxed);
   }
-  // Threads ever created (initial workers + respawns + scale-up spawns).
+  // Threads ever created (initial workers + abandonment respawns).
   int64_t threads_spawned() const { return threads_spawned_.load(std::memory_order_relaxed); }
   int64_t abandoned_count() const { return abandoned_.load(std::memory_order_relaxed); }
-  int64_t retired_count() const { return retired_total_.load(std::memory_order_relaxed); }
 
  private:
   struct Worker {
@@ -477,40 +443,12 @@ class WorkerPool {
                          std::memory_order_relaxed);
   }
 
-  // Moves this worker to the retired list if the pool is over target. Only
-  // called between tasks, so a retirement never interrupts work.
-  bool RetireIfOverTargetLocked(Worker* self) {
-    if (stopping_ || self->abandoned ||
-        static_cast<int>(workers_.size()) <= target_) {
-      return false;
-    }
-    for (auto it = workers_.begin(); it != workers_.end(); ++it) {
-      if (it->get() == self) {
-        retired_.push_back(std::move(*it));
-        workers_.erase(it);
-        workers_gauge_.store(static_cast<int>(workers_.size()),
-                             std::memory_order_relaxed);
-        retired_total_.fetch_add(1, std::memory_order_relaxed);
-        return true;
-      }
-    }
-    return false;
-  }
-
   void WorkerLoop(Worker* self) {
     std::unique_lock<std::mutex> lock(mu_);
     while (true) {
-      const bool woke = not_empty_.wait_for(
-          lock, std::chrono::nanoseconds(Ms(250)),
-          [&] { return stopping_ || count_ > 0; });
+      not_empty_.wait(lock, [&] { return stopping_ || count_ > 0; });
       if (stopping_) {
         return;
-      }
-      if (!woke) {
-        if (RetireIfOverTargetLocked(self)) {
-          return;  // idle and over target: shrink the pool
-        }
-        continue;
       }
       Item item = PopFrontLocked();
       claims_.push_back(Claim{item.ticket, self});
@@ -531,9 +469,6 @@ class WorkerPool {
       if (self->abandoned) {
         return;  // a replacement already took this worker's slot
       }
-      if (count_ == 0 && RetireIfOverTargetLocked(self)) {
-        return;  // drained backlog and over target: shrink promptly
-      }
     }
   }
 
@@ -543,14 +478,12 @@ class WorkerPool {
   std::condition_variable not_empty_;
   bool started_ = false;
   bool stopping_ = false;
-  int target_ = 0;  // desired active worker count; guarded by mu_
   std::atomic<uint64_t> next_ticket_{1};
   std::vector<Item> ring_;  // fixed ring buffer; head_/count_ guarded by mu_
   size_t head_ = 0;
   size_t count_ = 0;
   std::vector<std::unique_ptr<Worker>> workers_;  // active
   std::vector<std::unique_ptr<Worker>> drained_;  // abandoned, joined at Stop
-  std::vector<std::unique_ptr<Worker>> retired_;  // shrunk away, joined at Stop
   std::vector<Claim> claims_;                     // ticket -> executing worker
   // Lock-free gauges mirroring count_ / claims_.size() / workers_.size();
   // see QueueDepthHint.
@@ -559,7 +492,6 @@ class WorkerPool {
   std::atomic<int> workers_gauge_{0};
   std::atomic<int64_t> threads_spawned_{0};
   std::atomic<int64_t> abandoned_{0};
-  std::atomic<int64_t> retired_total_{0};
 };
 
 }  // namespace wdg

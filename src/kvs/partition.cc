@@ -48,7 +48,19 @@ wdg::Status PartitionManager::Validate(const std::string& path) const {
     }
     info = *it;
   }
-  WDG_ASSIGN_OR_RETURN(const std::string data, disk_.ReadAll(info.path));
+  const auto read = disk_.ReadAll(info.path);
+  if (read.status().code() == wdg::StatusCode::kNotFound) {
+    // A merge that unregisters and deletes the table between the lookup and
+    // the read retired it; only a file missing under a live registration is
+    // a lost partition.
+    std::lock_guard<std::mutex> lock(mu_);
+    if (std::none_of(partitions_.begin(), partitions_.end(),
+                     [&](const PartitionInfo& p) { return p.path == path; })) {
+      return wdg::Status::Ok();
+    }
+  }
+  WDG_RETURN_IF_ERROR(read.status());
+  const std::string& data = *read;
   if (wdg::Crc32(data) != info.expected_crc) {
     return wdg::CorruptionError(
         wdg::StrFormat("partition %s checksum mismatch (expected %08x, got %08x)",

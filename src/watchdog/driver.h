@@ -153,13 +153,6 @@ struct DriverMetricsSnapshot {
   int64_t batches_dispatched = 0;  // pool tasks submitted (≥1 execution each)
   size_t wheel_entries = 0;        // scheduled wheel entries across shards
 
-  // Autoscaler decisions (zero when the executor is not adaptive).
-  bool adaptive_pool = false;
-  int target_workers = 0;          // where the autoscaler is steering the pool
-  int64_t scale_up_events = 0;
-  int64_t scale_down_events = 0;
-  int64_t workers_retired = 0;     // workers shrunk away (joined at Stop)
-
   double queue_delay_mean_ns = 0;
   double queue_delay_p99_ns = 0;
   double scheduler_lag_ns = 0;  // last observed oversleep past a planned wake
@@ -239,9 +232,9 @@ struct WatchdogDriverOptions {
   // only caps how long a lost wake could go unnoticed.
   DurationNs max_sleep = Ms(250);
   DurationNs dedup_window = Sec(2);
-  // Executor pool sizing: worker count, submission-queue capacity, and the
-  // optional utilization-driven autoscaler. With shards > 1 every shard gets
-  // its own pool with this configuration, so total workers = shards × workers.
+  // Executor pool sizing: fixed worker count and submission-queue capacity.
+  // With shards > 1 every shard gets its own pool with this configuration,
+  // so total workers = shards × workers.
   CheckerExecutorOptions executor;
   // Histogram-informed per-checker hang deadlines (off by default: every
   // checker keeps its static CheckerOptions::timeout).

@@ -1,26 +1,11 @@
 #include "src/watchdog/executor.h"
 
-#include <algorithm>
 #include <exception>
 #include <utility>
 
 namespace wdg {
 
 namespace {
-
-// Sanitizes adaptive bounds so a misconfigured pair (max < min, zero minimum)
-// degrades to a sane pool instead of a stuck or empty one.
-CheckerExecutorOptions Normalized(CheckerExecutorOptions options) {
-  if (!options.adaptive) {
-    return options;
-  }
-  options.min_workers = std::max(1, options.min_workers);
-  options.max_workers = std::max(options.min_workers, options.max_workers);
-  options.workers =
-      std::clamp(options.workers, options.min_workers, options.max_workers);
-  options.scale_down_samples = std::max(1, options.scale_down_samples);
-  return options;
-}
 
 bool CasState(Execution& exec, ExecState from, ExecState to) {
   uint8_t expected = static_cast<uint8_t>(from);
@@ -35,11 +20,9 @@ CheckerExecutor::CheckerExecutor(Clock& clock, MetricsRegistry& metrics,
                                  Options options,
                                  const std::string& workers_gauge_name)
     : clock_(clock),
-      options_(Normalized(std::move(options))),
-      pool_(WorkerPool::Options{options_.workers, options_.queue_capacity}),
-      queue_delay_hist_(metrics.GetHistogram("wdg.driver.queue_delay_ns")),
-      workers_gauge_(metrics.GetGauge(workers_gauge_name)) {
-  workers_gauge_->Set(static_cast<double>(options_.workers));
+      pool_(WorkerPool::Options{options.workers, options.queue_capacity}),
+      queue_delay_hist_(metrics.GetHistogram("wdg.driver.queue_delay_ns")) {
+  metrics.GetGauge(workers_gauge_name)->Set(static_cast<double>(options.workers));
   free_slabs_.reserve(64);
   retiring_.reserve(64);
 }
@@ -161,52 +144,6 @@ size_t CheckerExecutor::TryStealFrom(CheckerExecutor& victim, size_t max_batches
                               std::memory_order_relaxed);
   }
   return stolen;
-}
-
-void CheckerExecutor::MaybeScale(TimeNs now) {
-  if (!options_.adaptive) {
-    return;
-  }
-  if (now - last_scale_time_ < options_.scale_cooldown) {
-    return;
-  }
-  const int target = pool_.target_workers();
-  const int busy = pool_.BusyCount();
-  const double utilization =
-      target == 0 ? 0.0 : static_cast<double>(busy) / target;
-  const size_t depth = pool_.QueueDepth();
-
-  // Grow: the pool is saturated AND work is visibly waiting on it. The second
-  // condition keeps a fleet that merely keeps every worker busy (but never
-  // queues) from ratcheting the pool up for no latency win.
-  if (target < options_.max_workers &&
-      utilization >= options_.scale_up_utilization &&
-      (depth > 0 ||
-       queue_delay_hist_->Percentile(99) >
-           static_cast<double>(options_.queue_delay_target))) {
-    pool_.SetTargetWorkers(target + 1);
-    workers_gauge_->Set(static_cast<double>(target + 1));
-    scale_ups_.fetch_add(1, std::memory_order_relaxed);
-    last_scale_time_ = now;
-    low_utilization_streak_ = 0;
-    return;
-  }
-
-  // Shrink: sustained low utilization with a drained queue. The streak
-  // requirement (plus the hysteresis gap to the grow mark) is the anti-flap:
-  // one idle sample between bursts never gives a worker back.
-  if (target > options_.min_workers &&
-      utilization <= options_.scale_down_utilization && depth == 0) {
-    if (++low_utilization_streak_ >= options_.scale_down_samples) {
-      pool_.SetTargetWorkers(target - 1);
-      workers_gauge_->Set(static_cast<double>(target - 1));
-      scale_downs_.fetch_add(1, std::memory_order_relaxed);
-      last_scale_time_ = now;
-      low_utilization_streak_ = 0;
-    }
-    return;
-  }
-  low_utilization_streak_ = 0;
 }
 
 void CheckerExecutor::RunBatch(DispatchBatch* slab) {

@@ -33,11 +33,10 @@
 //   - a checker that throws is caught on the worker and surfaces as a
 //     CHECKER_CRASH signature, never an exception in the main program;
 //   - queue delay (enqueue→dispatch) is sampled into a shared histogram so
-//     the watchdog can observe its own scheduling health (DriverMetrics());
-//   - optionally the pool is *adaptive*: MaybeScale (run by the scheduler)
-//     grows it under sustained utilization + queue pressure and shrinks it
-//     back toward min_workers when the fleet quiesces, with hysteresis and a
-//     cooldown so the loop converges instead of flapping (docs/DRIVER.md).
+//     the watchdog can observe its own scheduling health (DriverMetrics()).
+//
+// The pool keeps the size it was started with; an abandonment respawn
+// restores it.
 #pragma once
 
 #include <atomic>
@@ -124,29 +123,8 @@ struct DispatchBatch {
 };
 
 struct CheckerExecutorOptions {
-  // Fixed pool size when `adaptive` is false; the starting size otherwise.
-  int workers = 4;
+  int workers = 4;  // fixed pool size
   size_t queue_capacity = 256;
-
-  // --- adaptive pool sizing (the utilization-driven autoscaler) -----------
-  // When enabled, the pool resizes itself between [min_workers, max_workers]
-  // from the same signals DriverMetrics() exports: the pool-utilization gauge
-  // and the queue-delay histogram. The control loop runs on the scheduler
-  // thread (MaybeScale), so decisions are single-threaded and cheap.
-  bool adaptive = false;
-  int min_workers = 2;
-  int max_workers = 16;
-  // Hysteresis band: grow one worker when utilization is at/above the high
-  // mark AND there is queue pressure (depth > 0 or p99 queue delay past
-  // queue_delay_target); shrink one worker only after scale_down_samples
-  // consecutive observations at/below the low mark with an empty queue. The
-  // gap between the marks is what keeps the loop from flapping.
-  double scale_up_utilization = 0.85;
-  double scale_down_utilization = 0.30;
-  DurationNs queue_delay_target = Ms(5);
-  int scale_down_samples = 3;
-  // Minimum spacing between any two scale events (either direction).
-  DurationNs scale_cooldown = Ms(200);
 };
 
 class CheckerExecutor {
@@ -155,8 +133,8 @@ class CheckerExecutor {
 
   // `workers_gauge_name` lets a sharded driver give each shard's pool its own
   // gauge (wdg.driver.shard.<i>.pool.workers) while all shards share the one
-  // queue-delay histogram, so the p99 the autoscaler and DriverMetrics() see
-  // stays a process-global number.
+  // queue-delay histogram, so the p99 DriverMetrics() reports stays a
+  // process-global number.
   CheckerExecutor(Clock& clock, MetricsRegistry& metrics, Options options,
                   const std::string& workers_gauge_name = "wdg.driver.pool.workers");
   ~CheckerExecutor();
@@ -214,17 +192,7 @@ class CheckerExecutor {
   // pool changes. Returns batches stolen (counted in batches_stolen()).
   size_t TryStealFrom(CheckerExecutor& victim, size_t max_batches);
 
-  // One autoscaler evaluation. Called by the scheduler once per loop pass;
-  // no-op unless options.adaptive. Abandoned-worker respawns already count
-  // against the target inside WorkerPool, so a hang storm can never push the
-  // pool past max_workers.
-  void MaybeScale(TimeNs now);
-
-  bool adaptive() const { return options_.adaptive; }
-  int min_workers() const { return options_.min_workers; }
-  int max_workers() const { return options_.max_workers; }
   int worker_count() const { return pool_.active_workers(); }
-  int target_workers() const { return pool_.target_workers(); }
   int busy_count() const { return pool_.BusyCount(); }
   size_t queue_depth() const { return pool_.QueueDepth(); }
   // Lock-free approximations for per-pass cross-shard scans (steal-candidate
@@ -235,14 +203,11 @@ class CheckerExecutor {
   size_t queue_capacity() const { return pool_.queue_capacity(); }
   int64_t threads_spawned() const { return pool_.threads_spawned(); }
   int64_t workers_abandoned() const { return pool_.abandoned_count(); }
-  int64_t workers_retired() const { return pool_.retired_count(); }
   int64_t dispatched_count() const { return dispatched_.load(std::memory_order_relaxed); }
   int64_t completed_count() const { return completed_.load(std::memory_order_relaxed); }
   int64_t rejected_count() const { return rejected_.load(std::memory_order_relaxed); }
   int64_t batches_submitted() const { return batches_.load(std::memory_order_relaxed); }
   int64_t batches_stolen() const { return batches_stolen_.load(std::memory_order_relaxed); }
-  int64_t scale_up_events() const { return scale_ups_.load(std::memory_order_relaxed); }
-  int64_t scale_down_events() const { return scale_downs_.load(std::memory_order_relaxed); }
 
  private:
   // Worker body for one batch task: claim → run → close out, serially.
@@ -253,11 +218,9 @@ class CheckerExecutor {
   void RunOne(Execution& exec);
 
   Clock& clock_;
-  Options options_;
   WorkerPool pool_;
   std::function<void()> wake_scheduler_;
   Histogram* queue_delay_hist_;  // wdg.driver.queue_delay_ns (shared across shards)
-  Gauge* workers_gauge_;         // wdg.driver[.shard.<i>].pool.workers
 
   // Slab freelist — scheduler-thread-only (plus Stop/dtor after the scheduler
   // has been joined). Slabs are owned by all_slabs_ and freed only at
@@ -272,12 +235,6 @@ class CheckerExecutor {
   std::atomic<int64_t> batches_{0};
   std::atomic<int64_t> batches_stolen_{0};
   std::atomic<uint64_t> sample_counter_{0};  // 1-in-16 queue-delay sampling
-  // Autoscaler state: touched only from MaybeScale (scheduler thread), except
-  // the event counters which DriverMetrics reads.
-  TimeNs last_scale_time_ = 0;
-  int low_utilization_streak_ = 0;
-  std::atomic<int64_t> scale_ups_{0};
-  std::atomic<int64_t> scale_downs_{0};
 };
 
 }  // namespace wdg

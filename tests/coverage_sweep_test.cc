@@ -111,7 +111,9 @@ TEST_F(KvsSweepFixture, WorkloadGeneratorDrivesANodeEndToEnd) {
   EXPECT_EQ(workload.errors(), 0);
   EXPECT_EQ(outcomes.load(), workload.requests());
   EXPECT_GT(workload.MeanLatencyNs(), 0);
-  EXPECT_GE(workload.P99LatencyNs(), workload.MeanLatencyNs());
+  // p99 >= mean holds for no distribution in general (a few outliers lift the
+  // mean above the nearest-rank p99), so only ask for a measured tail.
+  EXPECT_GT(workload.P99LatencyNs(), 0);
   node.Stop();
 }
 

@@ -316,6 +316,42 @@ TEST_F(PartitionTest, UnknownPartitionIsNotFound) {
   EXPECT_EQ(partitions_.Validate("/sst/ghost").code(), wdg::StatusCode::kNotFound);
 }
 
+// A merge loop that retires every table while a validation of it is parked
+// between its lookup and its read (a hang on the disk read holds it there):
+// the table was retired, not lost, so no round may report NOT_FOUND.
+TEST_F(PartitionTest, ValidateRacingAMergeLoopNeverReportsNotFound) {
+  for (int round = 0; round < 20; ++round) {
+    const std::string path = wdg::StrFormat("/sst/m%02d", round);
+    ASSERT_TRUE(SsTable::Write(disk_, path, {{"k", {"v", false}}}).ok());
+    ASSERT_TRUE(partitions_.Register(path, "k", "k").ok());
+    wdg::FaultSpec hang;
+    hang.id = "read.hang";
+    hang.site_pattern = "disk.read";
+    hang.kind = wdg::FaultKind::kHang;
+    injector_.Inject(hang);
+    wdg::Status status;
+    std::thread validator([&] { status = partitions_.Validate(path); });
+    const wdg::TimeNs deadline = clock_.NowNs() + wdg::Sec(10);
+    while (injector_.parked_thread_count() == 0 && clock_.NowNs() < deadline) {
+      clock_.SleepFor(wdg::Ms(1));
+    }
+    ASSERT_EQ(injector_.parked_thread_count(), 1) << "validator never reached the read";
+    // The merge: unregister, then delete the input table.
+    partitions_.Unregister(path);
+    ASSERT_TRUE(disk_.Delete(path).ok());
+    injector_.Remove("read.hang");
+    validator.join();
+    EXPECT_TRUE(status.ok()) << "round " << round << ": " << status;
+  }
+}
+
+TEST_F(PartitionTest, MissingFileOfRegisteredPartitionIsNotFound) {
+  ASSERT_TRUE(SsTable::Write(disk_, "/sst/lost", {{"a", {"1", false}}}).ok());
+  ASSERT_TRUE(partitions_.Register("/sst/lost", "a", "a").ok());
+  ASSERT_TRUE(disk_.Delete("/sst/lost").ok());
+  EXPECT_EQ(partitions_.Validate("/sst/lost").code(), wdg::StatusCode::kNotFound);
+}
+
 TEST_F(PartitionTest, RangeOrderInvariant) {
   ASSERT_TRUE(SsTable::Write(disk_, "/sst/p1", {{"a", {"1", false}}}).ok());
   ASSERT_TRUE(SsTable::Write(disk_, "/sst/p2", {{"m", {"2", false}}}).ok());
