@@ -1,70 +1,132 @@
 #include "src/common/metrics.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <limits>
 
 namespace wdg {
 
-void Histogram::Record(double value) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (count_ == 0) {
-    min_ = value;
-    max_ = value;
-  } else {
-    min_ = std::min(min_, value);
-    max_ = std::max(max_, value);
+namespace {
+
+constexpr std::memory_order kRelaxed = std::memory_order_relaxed;
+constexpr double kTopBucketFloor = static_cast<double>(uint64_t{1} << Histogram::kOctaves);
+
+// Bucket 0 holds values below 1 (and NaN), bucket kBuckets-1 values from
+// 2^kOctaves up. In between, a double's exponent and its top kSubBucketBits
+// mantissa bits are the octave and the sub-bucket: for v in [1, 2^kOctaves),
+// bits >> (52 - kSubBucketBits) = (1023 + octave) * kSubBuckets + sub.
+int BucketOf(double value) {
+  if (!(value >= 1.0)) {
+    return 0;
   }
-  ++count_;
-  sum_ += value;
-  if (reservoir_.size() < capacity_) {
-    reservoir_.push_back(value);
-  } else {
-    // Vitter's algorithm R with a cheap xorshift.
-    rng_state_ ^= rng_state_ << 13;
-    rng_state_ ^= rng_state_ >> 7;
-    rng_state_ ^= rng_state_ << 17;
-    const uint64_t slot = rng_state_ % static_cast<uint64_t>(count_);
-    if (slot < reservoir_.size()) {
-      reservoir_[slot] = value;
+  if (value >= kTopBucketFloor) {
+    return Histogram::kBuckets - 1;
+  }
+  const uint64_t bits = std::bit_cast<uint64_t>(value);
+  const uint64_t key = bits >> (52 - Histogram::kSubBucketBits);
+  return 1 + static_cast<int>(key - (uint64_t{1023} << Histogram::kSubBucketBits));
+}
+
+double UpperEdge(int bucket) {
+  if (bucket == 0) {
+    return 1.0;
+  }
+  if (bucket == Histogram::kBuckets - 1) {
+    return std::numeric_limits<double>::infinity();
+  }
+  const int octave = (bucket - 1) >> Histogram::kSubBucketBits;
+  const int sub = (bucket - 1) & (Histogram::kSubBuckets - 1);
+  return std::ldexp(Histogram::kSubBuckets + sub + 1, octave - Histogram::kSubBucketBits);
+}
+
+void StoreMin(std::atomic<double>& slot, double value) {
+  double cur = slot.load(kRelaxed);
+  while (value < cur && !slot.compare_exchange_weak(cur, value, kRelaxed)) {
+  }
+}
+
+void StoreMax(std::atomic<double>& slot, double value) {
+  double cur = slot.load(kRelaxed);
+  while (value > cur && !slot.compare_exchange_weak(cur, value, kRelaxed)) {
+  }
+}
+
+}  // namespace
+
+void Histogram::Record(double value) {
+  StoreMin(min_, value);
+  StoreMax(max_, value);
+  sum_.fetch_add(value, kRelaxed);
+  // Release: a reader that counts this sample also sees its sum, min and max.
+  buckets_[static_cast<size_t>(BucketOf(value))].fetch_add(1, std::memory_order_release);
+}
+
+void Histogram::Merge(const Histogram& other) {
+  // Counts first (acquire): the sums and extremes read after them are current.
+  std::array<uint64_t, kBuckets> counts = other.Counts();
+  sum_.fetch_add(other.sum_.load(kRelaxed), kRelaxed);
+  StoreMin(min_, other.min_.load(kRelaxed));
+  StoreMax(max_, other.max_.load(kRelaxed));
+  for (size_t i = 0; i < counts.size(); ++i) {
+    if (counts[i] != 0) {
+      buckets_[i].fetch_add(counts[i], std::memory_order_release);
     }
   }
 }
 
-int64_t Histogram::count() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return count_;
+std::array<uint64_t, Histogram::kBuckets> Histogram::Counts() const {
+  std::array<uint64_t, kBuckets> counts;
+  for (size_t i = 0; i < counts.size(); ++i) {
+    counts[i] = buckets_[i].load(std::memory_order_acquire);
+  }
+  return counts;
 }
 
-double Histogram::Sum() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return sum_;
+int64_t Histogram::count() const {
+  uint64_t total = 0;
+  for (const uint64_t c : Counts()) {
+    total += c;
+  }
+  return static_cast<int64_t>(total);
 }
+
+double Histogram::Sum() const { return sum_.load(kRelaxed); }
 
 double Histogram::Mean() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return count_ == 0 ? 0 : sum_ / static_cast<double>(count_);
+  const int64_t n = count();
+  return n == 0 ? 0 : Sum() / static_cast<double>(n);
 }
 
 double Histogram::Min() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return min_;
+  const double lo = min_.load(kRelaxed);
+  return lo == std::numeric_limits<double>::infinity() ? 0 : lo;
 }
 
 double Histogram::Max() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return max_;
+  const double hi = max_.load(kRelaxed);
+  return hi == -std::numeric_limits<double>::infinity() ? 0 : hi;
 }
 
 double Histogram::Percentile(double q) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (reservoir_.empty()) {
+  // Walk one copy of the counts so a concurrent Record cannot move the total
+  // under the rank.
+  const std::array<uint64_t, kBuckets> counts = Counts();
+  uint64_t total = 0;
+  for (const uint64_t c : counts) {
+    total += c;
+  }
+  if (total == 0) {
     return 0;
   }
-  std::vector<double> sorted = reservoir_;
-  std::sort(sorted.begin(), sorted.end());
-  const double rank = q / 100.0 * static_cast<double>(sorted.size() - 1);
-  const size_t idx = static_cast<size_t>(std::lround(rank));
-  return sorted[std::min(idx, sorted.size() - 1)];
+  const uint64_t rank = static_cast<uint64_t>(
+      std::clamp(std::ceil(q / 100.0 * static_cast<double>(total)), 1.0,
+                 static_cast<double>(total)));
+  size_t bucket = 0;
+  for (uint64_t seen = counts[0]; seen < rank; seen += counts[++bucket]) {
+  }
+  return std::min(std::max(UpperEdge(static_cast<int>(bucket)), min_.load(kRelaxed)),
+                  max_.load(kRelaxed));
 }
 
 Counter* MetricsRegistry::GetCounter(const std::string& name) {

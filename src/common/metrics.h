@@ -3,10 +3,16 @@
 // The monitored systems (kvs, minizk) export their health indicators here;
 // signal-type watchdog checkers and the ResourceSignalDetector baseline read
 // them — exactly the "system health indicators" of Table 2's middle row.
+//
+// All three primitives are lock-free and allocate nothing beyond the object,
+// so recording on a hot path (a request, a check completion) never blocks on
+// another recorder or a reader.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -28,50 +34,47 @@ class Counter {
 
 class Gauge {
  public:
-  void Set(double value) {
-    std::lock_guard<std::mutex> lock(mu_);
-    value_ = value;
-  }
-  void Add(double delta) {
-    std::lock_guard<std::mutex> lock(mu_);
-    value_ += delta;
-  }
-  double Value() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return value_;
-  }
+  void Set(double value) { value_.store(value, std::memory_order_release); }
+  void Add(double delta) { value_.fetch_add(delta, std::memory_order_acq_rel); }
+  double Value() const { return value_.load(std::memory_order_acquire); }
 
  private:
-  mutable std::mutex mu_;
-  double value_ = 0;
+  std::atomic<double> value_{0};
 };
 
-// Fixed-size reservoir histogram; good enough for p50/p99 over bench runs.
+// Log-linear (HDR-style) histogram. Each power of two in [1, 2^40) is split
+// into kSubBuckets equal buckets, so a bucket is at most 12.5 % of its lower
+// edge wide; values below 1 land in the lowest bucket, values from 2^40 up in
+// the top one. count, sum, min and max are exact, and so is Merge.
 class Histogram {
  public:
-  explicit Histogram(size_t reservoir_capacity = 4096) : capacity_(reservoir_capacity) {
-    reservoir_.reserve(capacity_);  // Record never reallocates after this
-  }
+  static constexpr int kSubBucketBits = 3;
+  static constexpr int kSubBuckets = 1 << kSubBucketBits;  // per power of two
+  static constexpr int kOctaves = 40;                      // [1, 2^40)
+  static constexpr int kBuckets = kOctaves * kSubBuckets + 2;
 
   void Record(double value);
+  // Adds every sample of `other`; the result equals recording the union.
+  void Merge(const Histogram& other);
 
   int64_t count() const;
   double Sum() const;
   double Mean() const;
-  double Min() const;
-  double Max() const;
-  // Nearest-rank percentile over the reservoir; 0 if empty. q in [0,100].
+  double Min() const;  // 0 if empty
+  double Max() const;  // 0 if empty
+  // Nearest-rank percentile, q in [0,100]; 0 if empty. Returns the upper edge
+  // of the bucket holding that sample, clamped to [Min(), Max()], so it never
+  // reads below the true sample (deadline budgets and gates err high).
   double Percentile(double q) const;
 
  private:
-  mutable std::mutex mu_;
-  size_t capacity_;
-  int64_t count_ = 0;
-  double sum_ = 0;
-  double min_ = 0;
-  double max_ = 0;
-  std::vector<double> reservoir_;
-  uint64_t rng_state_ = 0x853c49e6748fea9bULL;
+  std::array<uint64_t, kBuckets> Counts() const;
+
+  // The count is the sum of the buckets: one fewer atomic add per Record.
+  std::array<std::atomic<uint64_t>, kBuckets> buckets_{};
+  std::atomic<double> sum_{0};
+  std::atomic<double> min_{std::numeric_limits<double>::infinity()};
+  std::atomic<double> max_{-std::numeric_limits<double>::infinity()};
 };
 
 // Named registry. Instances are created on first use and live as long as the

@@ -35,6 +35,12 @@ std::vector<PartitionInfo> PartitionManager::Partitions() const {
   return partitions_;
 }
 
+bool PartitionManager::Registered(const std::string& path) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return std::any_of(partitions_.begin(), partitions_.end(),
+                     [&](const PartitionInfo& p) { return p.path == path; });
+}
+
 wdg::Status PartitionManager::Validate(const std::string& path) const {
   // Instrumented site so campaigns can wedge/disable validation itself.
   WDG_RETURN_IF_ERROR(disk_.injector().Act("kvs.partition.validate"));
@@ -48,16 +54,21 @@ wdg::Status PartitionManager::Validate(const std::string& path) const {
     }
     info = *it;
   }
+  return CheckFile(info);
+}
+
+wdg::Status PartitionManager::Validate(const PartitionInfo& info) const {
+  WDG_RETURN_IF_ERROR(disk_.injector().Act("kvs.partition.validate"));
+  return CheckFile(info);
+}
+
+wdg::Status PartitionManager::CheckFile(const PartitionInfo& info) const {
   const auto read = disk_.ReadAll(info.path);
-  if (read.status().code() == wdg::StatusCode::kNotFound) {
-    // A merge that unregisters and deletes the table between the lookup and
-    // the read retired it; only a file missing under a live registration is
-    // a lost partition.
-    std::lock_guard<std::mutex> lock(mu_);
-    if (std::none_of(partitions_.begin(), partitions_.end(),
-                     [&](const PartitionInfo& p) { return p.path == path; })) {
-      return wdg::Status::Ok();
-    }
+  // A merge unregisters and then deletes its input tables, so a missing file
+  // whose registration is also gone was retired; only a file missing under a
+  // live registration is a lost partition.
+  if (read.status().code() == wdg::StatusCode::kNotFound && !Registered(info.path)) {
+    return wdg::Status::Ok();
   }
   WDG_RETURN_IF_ERROR(read.status());
   const std::string& data = *read;
@@ -71,7 +82,7 @@ wdg::Status PartitionManager::Validate(const std::string& path) const {
 
 wdg::Status PartitionManager::ValidateAll() const {
   for (const PartitionInfo& info : Partitions()) {
-    WDG_RETURN_IF_ERROR(Validate(info.path));
+    WDG_RETURN_IF_ERROR(Validate(info));
   }
   return wdg::Status::Ok();
 }

@@ -33,8 +33,13 @@ class PartitionManager {
   std::vector<PartitionInfo> Partitions() const;
 
   // Re-reads the partition and compares checksums. CORRUPTION on mismatch —
-  // catches bad media, bit rot, and lost writes under the data.
+  // catches bad media, bit rot, and lost writes under the data. NOT_FOUND for
+  // a path that is not registered, or whose file is gone while registered.
   wdg::Status Validate(const std::string& path) const;
+  // Validates an entry of a Partitions() snapshot. A merge may retire the
+  // table after the snapshot was taken; one no longer registered is retired,
+  // not lost, and validates OK.
+  wdg::Status Validate(const PartitionInfo& info) const;
   wdg::Status ValidateAll() const;
 
   // The §3.3 correctness property: key ranges sorted in ascending order.
@@ -48,6 +53,9 @@ class PartitionManager {
 
  private:
   uint32_t FileCrc(const std::string& path) const;
+  bool Registered(const std::string& path) const;
+  // Reads the file and compares its CRC with the registered one.
+  wdg::Status CheckFile(const PartitionInfo& info) const;
 
   wdg::SimDisk& disk_;
   mutable std::mutex mu_;

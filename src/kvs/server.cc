@@ -111,7 +111,7 @@ void KvsNode::ListenerLoop() {
       ctx.Set(keys::Node(), options_.node_id);
       ctx.MarkReady(clock_.NowNs());
     });
-    metrics_.GetGauge("kvs.listener.last_tick_ns")->Set(static_cast<double>(clock_.NowNs()));
+    listener_tick_->Set(static_cast<double>(clock_.NowNs()));
     // Kick-interval beat for the signal suite: a single-value publish per
     // iteration (wait-free fast path), so a wedged listener — blocked in
     // Apply behind a hung WAL append or a held flush lock — stops the beat
@@ -125,10 +125,9 @@ void KvsNode::ListenerLoop() {
     if (!msg.has_value()) {
       continue;
     }
-    metrics_.GetGauge("kvs.listener.queue_depth")
-        ->Set(static_cast<double>(endpoint_->PendingCount()));
+    listener_queue_depth_->Set(static_cast<double>(endpoint_->PendingCount()));
     if (msg->type == kMsgRequest) {
-      metrics_.GetCounter("kvs.requests.received")->Increment();
+      requests_received_->Increment();
       const auto request = Request::Decode(msg->payload);
       Response response = request.ok() ? Apply(*request)
                                        : Response::Err(request.status());
@@ -140,7 +139,7 @@ void KvsNode::ListenerLoop() {
       // The watchdog's cross-node liveness channel.
       (void)endpoint_->Reply(*msg, "ok");
     } else if (msg->type == kMsgHeartbeat) {
-      metrics_.GetCounter("kvs.heartbeats.received")->Increment();
+      heartbeats_received_->Increment();
     }
   }
 }
@@ -153,13 +152,13 @@ Response KvsNode::Apply(const Request& request, bool from_replication) {
     });
     const auto value = index_.Get(request.key);
     if (!value.ok()) {
-      metrics_.GetCounter("kvs.requests.errors")->Increment();
+      requests_errors_->Increment();
       return Response::Err(value.status());
     }
     if (!value->has_value()) {
       return Response::Err(wdg::NotFoundError(request.key));
     }
-    metrics_.GetCounter("kvs.requests.gets")->Increment();
+    requests_gets_->Increment();
     return Response::Ok(**value);
   }
 
@@ -179,14 +178,14 @@ Response KvsNode::Apply(const Request& request, bool from_replication) {
                          status.code() == wdg::StatusCode::kUnavailable)) {
       // In-place error handler (Table 1, row 2): a known transient error at a
       // specific program point gets one retry so execution can continue.
-      metrics_.GetCounter("kvs.error_handler.retries")->Increment();
+      handler_retries_->Increment();
       status = wal_->Append(record);
       if (status.ok()) {
-        metrics_.GetCounter("kvs.error_handler.recovered")->Increment();
+        handler_recovered_->Increment();
       }
     }
     if (!status.ok()) {
-      metrics_.GetCounter("kvs.requests.errors")->Increment();
+      requests_errors_->Increment();
       return Response::Err(status);
     }
   }
@@ -203,9 +202,8 @@ Response KvsNode::Apply(const Request& request, bool from_replication) {
     case OpType::kGet:
       break;  // handled above
   }
-  metrics_.GetCounter("kvs.requests.writes")->Increment();
-  metrics_.GetGauge("kvs.memtable.bytes")
-      ->Set(static_cast<double>(memtable_.ApproximateBytes()));
+  requests_writes_->Increment();
+  memtable_bytes_->Set(static_cast<double>(memtable_.ApproximateBytes()));
   if (!from_replication) {
     replication_->Enqueue(request);
   }
@@ -220,7 +218,7 @@ void KvsNode::ApplyReplicatedBatch(const std::string& payload) {
     const auto request = Request::Decode(record);
     if (request.ok()) {
       Apply(*request, /*from_replication=*/true);
-      metrics_.GetCounter("kvs.replication.applied")->Increment();
+      replication_applied_->Increment();
     }
   }
 }
@@ -244,8 +242,7 @@ void KvsNode::MaintenanceLoop() {
         ->Set(static_cast<double>(clock_.NowNs()));
     metrics_.GetGauge("kvs.index.tables")
         ->Set(static_cast<double>(index_.Tables().size()));
-    metrics_.GetGauge("kvs.memtable.bytes")
-        ->Set(static_cast<double>(memtable_.ApproximateBytes()));
+    memtable_bytes_->Set(static_cast<double>(memtable_.ApproximateBytes()));
 
     // Resource sample for the signal suite. Everything — including the disk
     // List/Read the sample needs — happens inside Fire(), so an unarmed site
@@ -303,7 +300,7 @@ void KvsNode::MaintenanceLoop() {
         ctx.Set(keys::Table(), partitions[i].path);
         ctx.MarkReady(clock_.NowNs());
       });
-      const wdg::Status valid = partitions_.Validate(partitions[i].path);
+      const wdg::Status valid = partitions_.Validate(partitions[i]);
       if (!valid.ok()) {
         metrics_.GetCounter("kvs.partition.validate_failures")->Increment();
         WDG_LOG(kWarn) << "partition validation failed: " << valid;

@@ -99,6 +99,18 @@ class KvsNode {
   std::unique_ptr<ReplicationEngine> replication_;
   wdg::HookSet hooks_;
   wdg::MetricsRegistry metrics_;
+  // Resolved once: the listener and Apply touch these per loop pass/request.
+  wdg::Gauge* const listener_tick_ = metrics_.GetGauge("kvs.listener.last_tick_ns");
+  wdg::Gauge* const listener_queue_depth_ = metrics_.GetGauge("kvs.listener.queue_depth");
+  wdg::Gauge* const memtable_bytes_ = metrics_.GetGauge("kvs.memtable.bytes");
+  wdg::Counter* const requests_received_ = metrics_.GetCounter("kvs.requests.received");
+  wdg::Counter* const requests_gets_ = metrics_.GetCounter("kvs.requests.gets");
+  wdg::Counter* const requests_writes_ = metrics_.GetCounter("kvs.requests.writes");
+  wdg::Counter* const requests_errors_ = metrics_.GetCounter("kvs.requests.errors");
+  wdg::Counter* const handler_retries_ = metrics_.GetCounter("kvs.error_handler.retries");
+  wdg::Counter* const handler_recovered_ = metrics_.GetCounter("kvs.error_handler.recovered");
+  wdg::Counter* const heartbeats_received_ = metrics_.GetCounter("kvs.heartbeats.received");
+  wdg::Counter* const replication_applied_ = metrics_.GetCounter("kvs.replication.applied");
 
   wdg::Endpoint* endpoint_ = nullptr;
   std::atomic<bool> running_{false};

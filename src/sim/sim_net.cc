@@ -143,7 +143,7 @@ void SimNet::set_drop_probability(double p) {
 }
 
 Status SimNet::Route(Message msg) {
-  metrics_.GetCounter("net.messages_sent")->Increment();
+  sent_->Increment();
 
   // Injected faults on the send path. Corruption mangles the payload in
   // flight; hang blocks the *sender* — exactly the ZK-2201 shape.
@@ -151,7 +151,7 @@ Status SimNet::Route(Message msg) {
   WDG_RETURN_IF_ERROR(
       injector_.Act(StrFormat("net.send.%s", msg.dst.c_str()), &msg.payload, &dropped));
   if (dropped) {
-    metrics_.GetCounter("net.messages_dropped")->Increment();
+    dropped_->Increment();
     return Status::Ok();
   }
 
@@ -160,11 +160,11 @@ Status SimNet::Route(Message msg) {
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (partitions_.count(std::minmax(msg.src, msg.dst)) > 0) {
-      metrics_.GetCounter("net.messages_partitioned")->Increment();
+      partitioned_->Increment();
       return Status::Ok();  // packets into a partition vanish silently
     }
     if (drop_probability_ > 0 && rng_.Bernoulli(drop_probability_)) {
-      metrics_.GetCounter("net.messages_dropped")->Increment();
+      dropped_->Increment();
       return Status::Ok();
     }
     const auto it = endpoints_.find(msg.dst);

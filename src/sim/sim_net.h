@@ -124,6 +124,10 @@ class SimNet {
   Rng rng_;
   std::atomic<uint64_t> corr_counter_{0};
   MetricsRegistry metrics_;
+  // Resolved once: Route runs per message.
+  Counter* const sent_ = metrics_.GetCounter("net.messages_sent");
+  Counter* const dropped_ = metrics_.GetCounter("net.messages_dropped");
+  Counter* const partitioned_ = metrics_.GetCounter("net.messages_partitioned");
 };
 
 }  // namespace wdg

@@ -15,9 +15,10 @@ namespace {
 // Retry delay after the executor queue rejected a submission (backpressure),
 // and after a cancelled batch sibling is pulled back for re-dispatch.
 constexpr DurationNs kBackpressureRetry = Ms(2);
-// Completions between budget refreshes for one checker. The inference scans
-// the latency reservoir (Percentile), so it runs every few reaps, not every
-// reap; deadlines still track the tail within a handful of intervals.
+// Completions between budget refreshes for one checker. The inference walks
+// the latency histogram's buckets (Percentile), so it runs every few reaps,
+// not every reap; deadlines still track the tail within a handful of
+// intervals.
 constexpr int64_t kBudgetRefreshRuns = 16;
 constexpr int kMaxShards = 64;
 
@@ -116,12 +117,7 @@ WatchdogDriver::WatchdogDriver(Clock& clock, Options options)
   shards_.reserve(static_cast<size_t>(options_.shards));
   for (int s = 0; s < options_.shards; ++s) {
     auto shard = std::make_unique<Shard>();
-    const std::string gauge_name =
-        options_.shards == 1
-            ? "wdg.driver.pool.workers"
-            : StrFormat("wdg.driver.shard.%d.pool.workers", s);
-    shard->executor = std::make_unique<CheckerExecutor>(clock_, *metrics_,
-                                                        options_.executor, gauge_name);
+    shard->executor = std::make_unique<CheckerExecutor>(clock_, *metrics_, options_.executor);
     shards_.push_back(std::move(shard));
   }
 }
@@ -256,7 +252,9 @@ Status WatchdogDriver::Start() {
       shard.wheel = std::make_unique<TimerWheel>(now, options_.wheel_tick);
       for (const size_t slot_index : shard.members) {
         Slot& slot = slots_[slot_index];
-        if (options_.per_checker_metrics) {
+        // The histogram's only reader is the deadline-budget inference.
+        if (options_.deadline_budget.enabled &&
+            slot.checker->options().adaptive_deadline) {
           slot.latency_hist = metrics_->GetHistogram(
               "wdg.driver.checker." + slot.checker->name() + ".latency_ns");
         }
@@ -386,8 +384,7 @@ DurationNs WatchdogDriver::SlotDeadlineLocked(const Slot& slot) const {
 }
 
 void WatchdogDriver::RefreshBudgetLocked(Slot& slot) {
-  if (!options_.deadline_budget.enabled ||
-      !slot.checker->options().adaptive_deadline || slot.latency_hist == nullptr) {
+  if (slot.latency_hist == nullptr) {  // budget off, or not an adaptive checker
     return;
   }
   const DurationNs inferred = InferDeadlineBudget(

@@ -268,9 +268,11 @@ struct WatchdogDriverOptions {
   // abandoning a hung execution cancels the batch's unstarted siblings for
   // immediate re-dispatch.
   int dispatch_batch = 1;
-  // Per-checker latency histograms + deadline map in DriverMetrics(). On by
+  // Per-checker deadline map (checker_deadline_ns) in DriverMetrics(). On by
   // default; 10⁵-checker fleets turn it off (the shared queue-delay and
-  // aggregate counters remain).
+  // aggregate counters remain). Per-checker latency histograms do not depend
+  // on it: they exist only for adaptive checkers under an enabled
+  // deadline_budget, their one reader; mean latency is in StatsFor().
   bool per_checker_metrics = true;
   // Work-stealing between shard executor pools (shards > 1 only): a shard
   // whose pool queue is empty and has idle workers steals whole queued
@@ -381,7 +383,8 @@ class WatchdogDriver {
     // Histogram-derived hang deadline; 0 until the budget inference has enough
     // samples, meaning "use the checker's static timeout".
     DurationNs deadline_budget = 0;
-    Histogram* latency_hist = nullptr;  // wdg.driver.checker.<name>.latency_ns
+    // wdg.driver.checker.<name>.latency_ns; budgeted adaptive checkers only.
+    Histogram* latency_hist = nullptr;
     std::unique_ptr<Checker> checker;
     std::vector<Execution*> drain;  // abandoned, still executing (slab-owned)
     CheckerStats stats;

@@ -16,13 +16,10 @@ bool CasState(Execution& exec, ExecState from, ExecState to) {
 
 }  // namespace
 
-CheckerExecutor::CheckerExecutor(Clock& clock, MetricsRegistry& metrics,
-                                 Options options,
-                                 const std::string& workers_gauge_name)
+CheckerExecutor::CheckerExecutor(Clock& clock, MetricsRegistry& metrics, Options options)
     : clock_(clock),
       pool_(WorkerPool::Options{options.workers, options.queue_capacity}),
       queue_delay_hist_(metrics.GetHistogram("wdg.driver.queue_delay_ns")) {
-  metrics.GetGauge(workers_gauge_name)->Set(static_cast<double>(options.workers));
   free_slabs_.reserve(64);
   retiring_.reserve(64);
 }
@@ -182,8 +179,9 @@ void CheckerExecutor::RunOne(Execution& exec) {
   const TimeNs dispatched_at = clock_.NowNs();
   exec.dispatch_time.store(dispatched_at, std::memory_order_release);
   dispatched_.fetch_add(1, std::memory_order_relaxed);
-  // Sampling 1-in-16 keeps the shared histogram's mutex off the hot path; the
-  // reservoir is itself a sampler, so percentiles are preserved.
+  // Sampling 1-in-16 keeps the shared histogram's atomic adds, contended by
+  // every worker of every shard, off most dispatches; a uniform sample keeps
+  // the percentiles.
   if ((sample_counter_.fetch_add(1, std::memory_order_relaxed) & 0xF) == 0) {
     queue_delay_hist_->Record(static_cast<double>(dispatched_at - exec.enqueue_time));
   }

@@ -131,12 +131,9 @@ class CheckerExecutor {
  public:
   using Options = CheckerExecutorOptions;
 
-  // `workers_gauge_name` lets a sharded driver give each shard's pool its own
-  // gauge (wdg.driver.shard.<i>.pool.workers) while all shards share the one
-  // queue-delay histogram, so the p99 DriverMetrics() reports stays a
-  // process-global number.
-  CheckerExecutor(Clock& clock, MetricsRegistry& metrics, Options options,
-                  const std::string& workers_gauge_name = "wdg.driver.pool.workers");
+  // All shards' executors share the one queue-delay histogram in `metrics`,
+  // so the p99 DriverMetrics() reports stays a process-global number.
+  CheckerExecutor(Clock& clock, MetricsRegistry& metrics, Options options);
   ~CheckerExecutor();
 
   CheckerExecutor(const CheckerExecutor&) = delete;

@@ -2,8 +2,11 @@
 // metrics, rng, clock, threading.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <set>
 #include <thread>
+#include <vector>
 
 #include "src/common/checksum.h"
 #include "src/common/clock.h"
@@ -156,6 +159,128 @@ TEST(MetricsTest, HistogramStats) {
   EXPECT_DOUBLE_EQ(hist.Mean(), 50.5);
   EXPECT_NEAR(hist.Percentile(50), 50, 2);
   EXPECT_NEAR(hist.Percentile(99), 99, 2);
+}
+
+TEST(MetricsTest, HistogramCountSumMinMaxExactUnderConcurrentRecord) {
+  Histogram hist;
+  constexpr int kThreads = 4;
+  constexpr int kPerThread = 50000;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&hist, t] {
+      for (int i = 1; i <= kPerThread; ++i) {
+        hist.Record(static_cast<double>(t * kPerThread + i));
+      }
+    });
+  }
+  for (auto& thread : threads) {
+    thread.join();
+  }
+  constexpr double n = kThreads * kPerThread;
+  EXPECT_EQ(hist.count(), static_cast<int64_t>(n));
+  EXPECT_DOUBLE_EQ(hist.Sum(), n * (n + 1) / 2);  // integers: exact in a double
+  EXPECT_DOUBLE_EQ(hist.Min(), 1);
+  EXPECT_DOUBLE_EQ(hist.Max(), n);
+}
+
+// Nearest-rank reference: the ceil(q/100 * n)-th smallest sample.
+double ReferencePercentile(std::vector<double> samples, double q) {
+  std::sort(samples.begin(), samples.end());
+  const auto rank = static_cast<size_t>(std::ceil(q / 100.0 * static_cast<double>(samples.size())));
+  return samples[std::clamp<size_t>(rank, 1, samples.size()) - 1];
+}
+
+TEST(MetricsTest, HistogramPercentileIsWithinOneBucketAboveTheReference) {
+  for (const uint64_t seed : {1u, 2u, 3u}) {
+    Rng rng(seed);
+    Histogram hist;
+    std::vector<double> samples;
+    for (int i = 0; i < 5000; ++i) {
+      const double ns = std::pow(10.0, rng.NextDouble() * 10.0);  // 1 ns .. 10 s
+      samples.push_back(ns);
+      hist.Record(ns);
+    }
+    for (const double q : {0.0, 1.0, 25.0, 50.0, 90.0, 99.0, 99.9, 100.0}) {
+      const double reference = ReferencePercentile(samples, q);
+      // Upper edge of the sample's bucket: never low, at most one 12.5 %
+      // bucket high.
+      EXPECT_GE(hist.Percentile(q), reference) << "seed " << seed << " q " << q;
+      EXPECT_LE(hist.Percentile(q), reference * 1.125) << "seed " << seed << " q " << q;
+    }
+  }
+}
+
+TEST(MetricsTest, HistogramMergeEqualsRecordingTheUnion) {
+  Histogram empty;
+  EXPECT_EQ(empty.count(), 0);
+  EXPECT_EQ(empty.Sum(), 0);
+  EXPECT_EQ(empty.Mean(), 0);
+  EXPECT_EQ(empty.Min(), 0);
+  EXPECT_EQ(empty.Max(), 0);
+  EXPECT_EQ(empty.Percentile(50), 0);
+
+  Rng rng(7);
+  Histogram a;
+  Histogram b;
+  Histogram both;
+  for (int i = 0; i < 3000; ++i) {
+    const double value = static_cast<double>(rng.Uniform(0, 1'000'000));
+    (i % 3 == 0 ? a : b).Record(value);
+    both.Record(value);
+  }
+  a.Merge(b);
+  a.Merge(empty);
+  EXPECT_EQ(a.count(), both.count());
+  EXPECT_EQ(a.Sum(), both.Sum());
+  EXPECT_EQ(a.Min(), both.Min());
+  EXPECT_EQ(a.Max(), both.Max());
+  for (const double q : {1.0, 50.0, 99.0, 100.0}) {
+    EXPECT_EQ(a.Percentile(q), both.Percentile(q)) << q;
+  }
+  empty.Merge(both);
+  EXPECT_EQ(empty.count(), both.count());
+  EXPECT_EQ(empty.Percentile(99), both.Percentile(99));
+}
+
+TEST(MetricsTest, HistogramOutOfRangeValuesLandInTheEndBuckets) {
+  // Below 1: one shared lowest bucket, whose edge (1) clamps to the max.
+  Histogram low;
+  for (const double value : {-5.0, 0.0, 0.25, 0.75}) {
+    low.Record(value);
+  }
+  EXPECT_DOUBLE_EQ(low.Percentile(25), 0.75);
+  EXPECT_DOUBLE_EQ(low.Percentile(100), 0.75);
+  EXPECT_DOUBLE_EQ(low.Min(), -5.0);
+
+  // From 2^40 up: one shared top bucket, whose edge clamps to the max.
+  const double top = std::ldexp(1.0, Histogram::kOctaves);
+  Histogram high;
+  high.Record(2.0);
+  high.Record(top);
+  high.Record(top * 1000);
+  EXPECT_DOUBLE_EQ(high.Percentile(50), top * 1000);
+  EXPECT_DOUBLE_EQ(high.Percentile(100), top * 1000);
+  EXPECT_LE(high.Percentile(1), 2.25);
+}
+
+TEST(MetricsTest, GaugeAddIsExactUnderConcurrentAdds) {
+  Gauge gauge;
+  constexpr int kThreads = 4;
+  constexpr int kPerThread = 100000;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&gauge] {
+      for (int i = 0; i < kPerThread; ++i) {
+        gauge.Add(0.5);
+      }
+    });
+  }
+  for (auto& thread : threads) {
+    thread.join();
+  }
+  EXPECT_DOUBLE_EQ(gauge.Value(), kThreads * kPerThread * 0.5);
+  gauge.Set(-3.25);
+  EXPECT_DOUBLE_EQ(gauge.Value(), -3.25);
 }
 
 TEST(MetricsTest, StablePointers) {

@@ -12,6 +12,7 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdlib>
+#include <map>
 #include <new>
 
 #include <string>
@@ -667,8 +668,8 @@ TEST(DriverShardingTest, StolenBatchHangAbandonsOnceOnTheStealingShard) {
 // The tentpole invariant, enforced: once the slab freelist, worker-pool ring
 // and claim table, wheel buckets, and scheduler scratch are warm, a dispatch
 // round performs ZERO heap allocations — executions are recycled slab slots,
-// batch tickets are pre-encoded, and the sampled queue-delay reservoir was
-// reserved up front.
+// batch tickets are pre-encoded, and the sampled queue-delay histogram is a
+// fixed array of buckets.
 TEST(DriverScaleTest, SteadyStateDispatchIsAllocationFree) {
   RealClock& clock = RealClock::Instance();
   WatchdogDriver::Options options;
@@ -838,6 +839,50 @@ TEST(DeadlineBudgetTest, WarmedBudgetDetectsHangsFasterThanStaticTimeout) {
   EXPECT_EQ(metrics.timeouts, 1);
   EXPECT_TRUE(driver.Stop().ok());
   EXPECT_EQ(injector.parked_thread_count(), 0);
+}
+
+// Per-checker latency histograms exist only where a deadline budget reads
+// them: none under default options, and under an enabled budget one for each
+// adaptive checker but none for a checker that opted out of adaptation.
+TEST(DeadlineBudgetTest, LatencyHistogramsExistOnlyForBudgetedAdaptiveCheckers) {
+  RealClock& clock = RealClock::Instance();
+  for (const bool budget : {false, true}) {
+    WatchdogDriver::Options options;
+    options.executor.workers = 2;
+    options.deadline_budget.enabled = budget;
+    WatchdogDriver driver(clock, options);
+    CheckerOptions adaptive;
+    adaptive.interval = Ms(5);
+    CheckerOptions fixed = adaptive;
+    fixed.adaptive_deadline = false;
+    const auto pass = [](const CheckContext&, MimicChecker&) { return CheckResult::Pass(); };
+    driver.AddChecker(std::make_unique<MimicChecker>("adaptive", "op", nullptr, pass, adaptive));
+    driver.AddChecker(std::make_unique<MimicChecker>("fixed", "op", nullptr, pass, fixed));
+    ASSERT_TRUE(driver.Start().ok());
+    ASSERT_TRUE(WaitForStat(driver, clock, "adaptive", 4));
+    ASSERT_TRUE(WaitForStat(driver, clock, "fixed", 4));
+    const std::map<std::string, double> snapshot = driver.metrics().Snapshot();
+    std::vector<std::string> per_checker;
+    for (const auto& [name, value] : snapshot) {
+      if (name.rfind("wdg.driver.checker.", 0) == 0) {
+        per_checker.push_back(name);
+      }
+    }
+    if (budget) {
+      const std::string count = "wdg.driver.checker.adaptive.latency_ns.count";
+      ASSERT_EQ(snapshot.count(count), 1u);
+      EXPECT_GE(snapshot.at(count), 1.0);
+      for (const std::string& name : per_checker) {
+        EXPECT_EQ(name.rfind("wdg.driver.checker.adaptive.", 0), 0u) << name;
+      }
+    } else {
+      EXPECT_EQ(per_checker, std::vector<std::string>{});
+    }
+    // Mean latency stays available without a histogram.
+    const CheckerStats stats = driver.StatsFor("fixed");
+    EXPECT_GT(stats.total_latency / stats.runs, 0);
+    EXPECT_TRUE(driver.Stop().ok());
+  }
 }
 
 }  // namespace

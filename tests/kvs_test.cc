@@ -350,6 +350,23 @@ TEST_F(PartitionTest, MissingFileOfRegisteredPartitionIsNotFound) {
   ASSERT_TRUE(partitions_.Register("/sst/lost", "a", "a").ok());
   ASSERT_TRUE(disk_.Delete("/sst/lost").ok());
   EXPECT_EQ(partitions_.Validate("/sst/lost").code(), wdg::StatusCode::kNotFound);
+  const auto snapshot = partitions_.Partitions();
+  ASSERT_EQ(snapshot.size(), 1u);
+  EXPECT_EQ(partitions_.Validate(snapshot[0]).code(), wdg::StatusCode::kNotFound);
+}
+
+// The maintenance loop validates entries of a Partitions() snapshot. A merge
+// that retires the table between the snapshot and the validation retired it,
+// whether or not it has deleted the file yet; neither is a lost partition.
+TEST_F(PartitionTest, ValidateOfARetiredSnapshotEntryIsOk) {
+  ASSERT_TRUE(SsTable::Write(disk_, "/sst/r1", {{"a", {"1", false}}}).ok());
+  ASSERT_TRUE(partitions_.Register("/sst/r1", "a", "a").ok());
+  const auto snapshot = partitions_.Partitions();
+  ASSERT_EQ(snapshot.size(), 1u);
+  partitions_.Unregister("/sst/r1");
+  EXPECT_TRUE(partitions_.Validate(snapshot[0]).ok());
+  ASSERT_TRUE(disk_.Delete("/sst/r1").ok());
+  EXPECT_TRUE(partitions_.Validate(snapshot[0]).ok());
 }
 
 TEST_F(PartitionTest, RangeOrderInvariant) {
