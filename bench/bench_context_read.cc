@@ -6,8 +6,8 @@
 // two-key batch at ~1 ms cadence (a realistic hook rate; a saturating writer
 // would measure the scheduler, not the read path). Readers alternate between
 // typed point reads (Get) and full consistent snapshots, and report the
-// per-op latency of each plus the read-path counters (optimistic vs locked
-// fallback). Emits BENCH_context_read.json to feed the perf trajectory.
+// per-op latency of each. Emits BENCH_context_read.json to feed the perf
+// trajectory.
 //
 // Methodology note: latencies are recorded as BATCH MEANS (one sample per
 // kGetBatch/kSnapBatch ops) and summarized by p50-of-batches. On a machine
@@ -42,15 +42,12 @@ struct ConfigResult {
   double get_mean_ns = 0;
   double snapshot_p50_ns = 0;
   double snapshot_mean_ns = 0;
-  int64_t snapshot_optimistic = 0;
-  int64_t snapshot_fallbacks = 0;
-  int64_t get_fallbacks = 0;
 };
 
 ConfigResult RunConfig(int readers, wdg::DurationNs duration) {
   wdg::RealClock& clock = wdg::RealClock::Instance();
-  // Fresh context per config so read_stats isolate this run. Keys are
-  // process-global and intern idempotently.
+  // Fresh context per config. Keys are process-global and intern
+  // idempotently.
   wdg::CheckContext ctx("bench_read_ctx");
   static const auto kFile = wdg::ContextKey<std::string>::Of("br.file");
   static const auto kEntries = wdg::ContextKey<int64_t>::Of("br.entries");
@@ -59,8 +56,8 @@ ConfigResult RunConfig(int readers, wdg::DurationNs duration) {
   ctx.MarkReady(1);
 
   std::atomic<bool> stop{false};
-  // The concurrent hook writer: two-key batch through the lock-free batch
-  // flush, at a cadence that keeps publish windows opening all run long.
+  // The concurrent hook writer: a two-key batch at a cadence that keeps
+  // publish windows opening all run long.
   std::thread writer([&] {
     int64_t seq = 1;
     while (!stop.load(std::memory_order_relaxed)) {
@@ -71,8 +68,8 @@ ConfigResult RunConfig(int readers, wdg::DurationNs duration) {
     }
   });
 
-  // Shared histograms: Record() fires once per batch (not per op), so the
-  // internal mutex never shows up in the measured loops.
+  // Shared histograms: Record() fires once per batch (not per op), so
+  // recording never shows up in the measured loops.
   wdg::Histogram gets;
   wdg::Histogram snaps;
   std::atomic<int64_t> sink{0};
@@ -103,16 +100,12 @@ ConfigResult RunConfig(int readers, wdg::DurationNs duration) {
     t.join();
   }
   writer.join();
-  const auto stats = ctx.read_stats();
   ConfigResult result;
   result.readers = readers;
   result.get_p50_ns = gets.Percentile(50);
   result.get_mean_ns = gets.Mean();
   result.snapshot_p50_ns = snaps.Percentile(50);
   result.snapshot_mean_ns = snaps.Mean();
-  result.snapshot_optimistic = stats.snapshot_optimistic;
-  result.snapshot_fallbacks = stats.snapshot_fallbacks;
-  result.get_fallbacks = stats.get_fallbacks;
   return result;
 }
 
@@ -133,14 +126,9 @@ void WriteJson(const std::vector<ConfigResult>& results, wdg::DurationNs duratio
     std::fprintf(out,
                  "    {\"readers\": %d, \"get_p50_ns\": %.1f, "
                  "\"get_mean_ns\": %.1f, \"snapshot_p50_ns\": %.1f, "
-                 "\"snapshot_mean_ns\": %.1f, \"snapshot_optimistic\": %lld, "
-                 "\"snapshot_fallbacks\": %lld, \"get_fallbacks\": %lld}%s\n",
+                 "\"snapshot_mean_ns\": %.1f}%s\n",
                  r.readers, r.get_p50_ns, r.get_mean_ns, r.snapshot_p50_ns,
-                 r.snapshot_mean_ns,
-                 static_cast<long long>(r.snapshot_optimistic),
-                 static_cast<long long>(r.snapshot_fallbacks),
-                 static_cast<long long>(r.get_fallbacks),
-                 i + 1 < results.size() ? "," : "");
+                 r.snapshot_mean_ns, i + 1 < results.size() ? "," : "");
   }
   std::fprintf(out, "  ]\n}\n");
   std::fclose(out);
@@ -174,22 +162,18 @@ int main(int argc, char** argv) {
                            {"get p50 (ns)", 13},
                            {"get mean (ns)", 14},
                            {"snap p50 (ns)", 14},
-                           {"snap mean (ns)", 15},
-                           {"opt snaps", 10},
-                           {"fallbacks", 10}});
+                           {"snap mean (ns)", 15}});
   table.PrintHeader();
   for (const ConfigResult& r : results) {
     table.PrintRow({wdg::StrFormat("%d", r.readers),
                     wdg::StrFormat("%.0f", r.get_p50_ns),
                     wdg::StrFormat("%.0f", r.get_mean_ns),
                     wdg::StrFormat("%.0f", r.snapshot_p50_ns),
-                    wdg::StrFormat("%.0f", r.snapshot_mean_ns),
-                    wdg::StrFormat("%lld", static_cast<long long>(r.snapshot_optimistic)),
-                    wdg::StrFormat("%lld", static_cast<long long>(r.snapshot_fallbacks))});
+                    wdg::StrFormat("%.0f", r.snapshot_mean_ns)});
   }
   table.PrintRule();
-  std::printf("\nflat p50 from 1 to 8 readers = the optimistic read path never "
-              "serializes readers behind stripe mutexes\n");
+  std::printf("\nflat p50 from 1 to 8 readers = optimistic readers never "
+              "serialize behind one another\n");
   WriteJson(results, duration);
   return 0;
 }

@@ -33,8 +33,9 @@ void BM_HookFire_Unarmed(benchmark::State& state) {
 BENCHMARK(BM_HookFire_Unarmed);
 
 // The armed hook, Context API v2: typed keys interned once, the two writes
-// stage into the thread-local batch, MarkReady flushes under the touched
-// stripes. This is the production hook-site code path.
+// stage into the thread-local batch, MarkReady publishes them inside one
+// claim of the context's sequence word. This is the production hook-site
+// code path.
 void BM_HookFire_Armed(benchmark::State& state) {
   static const auto kFile = wdg::ContextKey<std::string>::Of("bench.file");
   static const auto kEntries = wdg::ContextKey<int64_t>::Of("bench.entries");
@@ -52,8 +53,9 @@ void BM_HookFire_Armed(benchmark::State& state) {
 }
 BENCHMARK(BM_HookFire_Armed);
 
-// Concurrent hook sites on DIFFERENT keys of one context: the sharded store
-// means threads hit different stripes instead of one global mutex.
+// Concurrent hook sites on DIFFERENT keys of one context: every publish
+// claims the context's one sequence word, so four saturating writers
+// serialize on it.
 void BM_HookFire_Armed_Contended(benchmark::State& state) {
   static wdg::CheckContext ctx("contended_ctx");
   static const auto kKeys = [] {
@@ -72,9 +74,8 @@ void BM_HookFire_Armed_Contended(benchmark::State& state) {
 }
 BENCHMARK(BM_HookFire_Armed_Contended)->Threads(4);
 
-// The dominant hook shape in the system models: ONE value then MarkReady.
-// This exercises the wait-free single-value publish (claim-CAS + release
-// store), skipping stripe locks and the staging flush entirely.
+// The dominant hook shape in the system models: ONE value then MarkReady
+// (one claim-CAS, the stores, one release store).
 void BM_HookFire_Armed_SingleValue(benchmark::State& state) {
   static const auto kSeq = wdg::ContextKey<int64_t>::Of("bench.single.seq");
   wdg::HookSite site("kvs.listener.accept");
@@ -103,9 +104,8 @@ void BM_ContextSnapshot(benchmark::State& state) {
 }
 BENCHMARK(BM_ContextSnapshot);
 
-// The checker-side cold path the lock-free read rebuild targets: a full
-// consistent snapshot (epoch + all populated slots) with zero stripe
-// mutexes on the optimistic path.
+// The checker-side cold path: a full consistent snapshot (epoch + every key
+// the context holds), an optimistic copy validated by the sequence word.
 void BM_ContextSnapshotConsistent(benchmark::State& state) {
   wdg::CheckContext ctx("c");
   for (int i = 0; i < 8; ++i) {
@@ -146,7 +146,7 @@ void BM_ContextGet_ByName(benchmark::State& state) {
 BENCHMARK(BM_ContextGet_ByName);
 
 // Reader/writer mix on one context: 3 reader threads point-read a key that
-// a 4th thread keeps republishing through the single-value fast path.
+// a 4th thread keeps republishing as single-value batches.
 void BM_ContextGet_ContendedWithWriter(benchmark::State& state) {
   static wdg::CheckContext ctx("rw_ctx");
   static const auto kHot = wdg::ContextKey<int64_t>::Of("bench.rw.hot");

@@ -33,8 +33,11 @@ ReplayResult ReplayFailure(const wdg::FailureSignature& signature,
 
   // Restore the failure-inducing context and re-execute the op.
   wdg::CheckContext ctx("replay:" + signature.checker_name);
-  ctx.Restore(wdg::CheckContext::ParseDump(signature.context_dump),
-              wdg::RealClock::Instance().NowNs());
+  result.op_status = ctx.Restore(wdg::CheckContext::ParseDump(signature.context_dump),
+                                 wdg::RealClock::Instance().NowNs());
+  if (!result.op_status.ok()) {
+    return result;
+  }
   result.op_status = registry.Execute(*target, ctx, "replay:" + signature.checker_name);
   result.reproduced = !result.op_status.ok() && result.op_status.code() == signature.code;
   return result;

@@ -113,7 +113,7 @@ void KvsNode::ListenerLoop() {
     });
     listener_tick_->Set(static_cast<double>(clock_.NowNs()));
     // Kick-interval beat for the signal suite: a single-value publish per
-    // iteration (wait-free fast path), so a wedged listener — blocked in
+    // iteration, so a wedged listener — blocked in
     // Apply behind a hung WAL append or a held flush lock — stops the beat
     // and the jitter checker sees the gap.
     hooks_.Site("ResourceBeat:1")->Fire([&](wdg::CheckContext& ctx) {

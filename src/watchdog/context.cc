@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <bit>
-#include <cassert>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <functional>
@@ -51,59 +51,40 @@ std::map<std::string, CtxValue> CtxSnapshot::ToMap() const {
   return out;
 }
 
-const char* CtxTypeName(CtxType type) {
-  switch (type) {
-    case CtxType::kInt:
-      return "int";
-    case CtxType::kDouble:
-      return "double";
-    case CtxType::kBool:
-      return "bool";
-    case CtxType::kString:
-      return "string";
-    case CtxType::kAny:
-      return "any";
-  }
-  return "?";
-}
-
 // ----------------------------------------------------------- KeyRegistry
 
 KeyRegistry& KeyRegistry::Instance() {
-  // Leaked singleton: static ContextKeys in other TUs may be destroyed after
-  // any registry with normal storage duration. Entries leak with it — they
-  // must outlive every reader, and there is no quiescent point to free them.
+  // Leaked, entries too: static ContextKeys in other TUs may outlive any
+  // registry with normal storage duration, and readers never quiesce.
   static KeyRegistry* registry = new KeyRegistry();
   return *registry;
 }
 
 KeyRegistry::Entry* KeyRegistry::Probe(std::string_view name) const {
-  uint32_t idx =
-      static_cast<uint32_t>(std::hash<std::string_view>{}(name)) & (kBuckets - 1);
+  uint32_t idx = static_cast<uint32_t>(std::hash<std::string_view>{}(name)) & (kBuckets - 1);
   for (;;) {
     Entry* entry = buckets_[idx].load(std::memory_order_acquire);
-    if (entry == nullptr) {
-      return nullptr;
-    }
-    if (entry->name == name) {
+    if (entry == nullptr || entry->name == name) {
       return entry;
     }
     idx = (idx + 1) & (kBuckets - 1);
   }
 }
 
-uint32_t KeyRegistry::Intern(std::string_view name, CtxType type) {
+std::optional<uint32_t> KeyRegistry::TryIntern(std::string_view name, CtxType type) {
   Entry* entry = Probe(name);
   if (entry == nullptr) {
     std::lock_guard<std::mutex> lock(write_mu_);
     entry = Probe(name);  // a racing intern may have landed it meanwhile
     if (entry == nullptr) {
       const uint32_t slot = count_.load(std::memory_order_relaxed);
-      assert(slot < kMaxKeys && "context key slots exhausted");
+      if (slot >= kMaxKeys) {
+        return std::nullopt;
+      }
       entry = new Entry(std::string(name), type, slot);
       by_slot_[slot].store(entry, std::memory_order_release);
-      uint32_t idx = static_cast<uint32_t>(std::hash<std::string_view>{}(name)) &
-                     (kBuckets - 1);
+      uint32_t idx =
+          static_cast<uint32_t>(std::hash<std::string_view>{}(name)) & (kBuckets - 1);
       while (buckets_[idx].load(std::memory_order_relaxed) != nullptr) {
         idx = (idx + 1) & (kBuckets - 1);
       }
@@ -112,9 +93,7 @@ uint32_t KeyRegistry::Intern(std::string_view name, CtxType type) {
       return slot;
     }
   }
-  // First concrete registration fixes the declared type; the legacy shim
-  // interns as kAny and must never clobber a typed declaration.
-  if (type != CtxType::kAny) {
+  if (type != CtxType::kAny) {  // the first concrete registration wins
     CtxType expected = CtxType::kAny;
     entry->type.compare_exchange_strong(expected, type, std::memory_order_acq_rel,
                                         std::memory_order_relaxed);
@@ -122,922 +101,350 @@ uint32_t KeyRegistry::Intern(std::string_view name, CtxType type) {
   return entry->slot;
 }
 
+uint32_t KeyRegistry::Intern(std::string_view name, CtxType type) {
+  const auto slot = TryIntern(name, type);
+  if (!slot.has_value()) {
+    std::fprintf(stderr, "wdg: context key registry full (%u keys); cannot intern '%.*s'\n",
+                 kMaxKeys, static_cast<int>(name.size()), name.data());
+    std::abort();
+  }
+  return *slot;
+}
+
 std::optional<uint32_t> KeyRegistry::Find(std::string_view name) const {
   const Entry* entry = Probe(name);
-  if (entry == nullptr) {
-    return std::nullopt;
-  }
-  return entry->slot;
+  return entry == nullptr ? std::nullopt : std::optional<uint32_t>(entry->slot);
 }
 
 const std::string& KeyRegistry::NameOf(uint32_t slot) const {
-  const Entry* entry = by_slot_[slot].load(std::memory_order_acquire);
-  assert(entry != nullptr);
-  return entry->name;
+  return by_slot_[slot].load(std::memory_order_acquire)->name;
 }
 
 CtxType KeyRegistry::TypeOf(uint32_t slot) const {
-  const Entry* entry = by_slot_[slot].load(std::memory_order_acquire);
-  assert(entry != nullptr);
-  return entry->type.load(std::memory_order_acquire);
-}
-
-uint32_t KeyRegistry::size() const { return count_.load(std::memory_order_acquire); }
-
-std::vector<const std::string*> KeyRegistry::Names(uint32_t limit) const {
-  const uint32_t n = std::min(limit, count_.load(std::memory_order_acquire));
-  std::vector<const std::string*> names(n);
-  for (uint32_t i = 0; i < n; ++i) {
-    names[i] = &by_slot_[i].load(std::memory_order_acquire)->name;
-  }
-  return names;
-}
-
-const std::string& ContextKeyBase::name() const {
-  return KeyRegistry::Instance().NameOf(slot_);
+  return by_slot_[slot].load(std::memory_order_acquire)->type.load(std::memory_order_acquire);
 }
 
 // ---------------------------------------------------------- CheckContext
 
-namespace {
+// Writes one thread staged before MarkReady(), as cell headers plus a scalar
+// or an offset into `bytes`. Reused across fires: staging stops allocating
+// once the vectors have grown to the hook's shape.
+struct CheckContext::Batch {
+  struct Staged { uint32_t slot; uint64_t header; uint64_t word; };
+  std::vector<Staged> entries;
+  std::string bytes;
+  uint64_t owner_id = 0;  // CheckContext::id_ of the staging target
+};
 
-uint64_t NextContextId() {
-  static std::atomic<uint64_t> next{1};
-  return next.fetch_add(1, std::memory_order_relaxed);
-}
-
-// One staging batch per thread, reused across fires (the entries vector
-// keeps its capacity, so steady-state staging never allocates).
-HookBatch& ThreadBatch() {
-  thread_local HookBatch batch;
+CheckContext::Batch& CheckContext::ThreadBatch() {
+  thread_local Batch batch;
   return batch;
 }
 
-}  // namespace
+CheckContext::CheckContext(std::string name) : name_(std::move(name)), id_([] {
+  static std::atomic<uint64_t> next{1};
+  return next.fetch_add(1, std::memory_order_relaxed);
+}()) {}
 
-CheckContext::CheckContext(std::string name)
-    : name_(std::move(name)), id_(NextContextId()) {}
-
-CheckContext::~CheckContext() {
-  for (auto& chunk : chunks_) {
-    delete chunk.load(std::memory_order_acquire);
+void CheckContext::StageWrite(uint32_t slot, CtxValue value) {
+  Batch& batch = ThreadBatch();
+  if (batch.owner_id != id_) {  // drop what another context never published
+    batch.entries.clear();
+    batch.bytes.clear();
+    batch.owner_id = id_;
   }
-}
-
-// ------------------------------------------------- inline payload codec
-
-uint32_t CheckContext::InlineWordCount(uint64_t header) {
-  if (static_cast<SlotTag>(header & 0xff) == SlotTag::kInlineStr) {
-    return (static_cast<uint32_t>(header >> 8) + 7) / 8;
-  }
-  return 1;
-}
-
-bool CheckContext::EncodeInline(const CtxValue& value, uint64_t* header,
-                                uint64_t words[kPayloadWords]) {
+  Batch::Staged staged{slot, static_cast<uint64_t>(Tag::kString), batch.bytes.size()};
   if (const auto* i = std::get_if<int64_t>(&value)) {
-    *header = static_cast<uint64_t>(SlotTag::kInt);
-    words[0] = static_cast<uint64_t>(*i);
-    return true;
+    staged = {slot, static_cast<uint64_t>(Tag::kInt), static_cast<uint64_t>(*i)};
+  } else if (const auto* d = std::get_if<double>(&value)) {
+    staged = {slot, static_cast<uint64_t>(Tag::kDouble), std::bit_cast<uint64_t>(*d)};
+  } else if (const auto* b = std::get_if<bool>(&value)) {
+    staged = {slot, static_cast<uint64_t>(Tag::kBool), *b ? uint64_t{1} : 0};
+  } else {
+    const std::string& text = std::get<std::string>(value);
+    staged.header |= static_cast<uint64_t>(text.size()) << 8;
+    batch.bytes += text;
   }
-  if (const auto* d = std::get_if<double>(&value)) {
-    *header = static_cast<uint64_t>(SlotTag::kDouble);
-    words[0] = std::bit_cast<uint64_t>(*d);
-    return true;
-  }
-  if (const auto* b = std::get_if<bool>(&value)) {
-    *header = static_cast<uint64_t>(SlotTag::kBool);
-    words[0] = *b ? 1 : 0;
-    return true;
-  }
-  const std::string& s = std::get<std::string>(value);
-  if (s.size() > kInlineBytes) {
-    return false;
-  }
-  *header = static_cast<uint64_t>(SlotTag::kInlineStr) |
-            (static_cast<uint64_t>(s.size()) << 8);
-  std::memcpy(words, s.data(), s.size());
-  return true;
+  batch.entries.push_back(staged);
 }
 
-void CheckContext::DecodeInlineInto(uint64_t header,
-                                    const uint64_t words[kPayloadWords],
-                                    CtxValue* out) {
-  switch (static_cast<SlotTag>(header & 0xff)) {
-    case SlotTag::kInt:
-      *out = static_cast<int64_t>(words[0]);
-      break;
-    case SlotTag::kDouble:
-      *out = std::bit_cast<double>(words[0]);
-      break;
-    case SlotTag::kBool:
-      *out = words[0] != 0;
-      break;
-    default: {
-      const size_t len = static_cast<size_t>(header >> 8);
-      out->emplace<std::string>(reinterpret_cast<const char*>(words), len);
-      break;
-    }
-  }
-}
-
-// -------------------------------------------------- seqlock cell protocol
-
-uint32_t CheckContext::ClaimCell(SlotCell& cell) {
-  uint32_t s = cell.seq.load(std::memory_order_relaxed);
+uint64_t CheckContext::Claim() const {
+  uint64_t s = seq_.load(std::memory_order_relaxed);
   for (int spin = 0;; ++spin) {
-    // The acq_rel CAS keeps the caller's payload stores from hoisting above
-    // the claim; the competing writer's window is a handful of stores, so
-    // this spin is short unless that writer is descheduled mid-publish —
-    // the yield hands it the CPU so the spin can't burn a whole timeslice.
-    if ((s & 1) == 0 &&
-        cell.seq.compare_exchange_weak(s, s + 1, std::memory_order_acq_rel,
-                                       std::memory_order_relaxed)) {
+    // Acquire pairs with the previous holder's release; the fence keeps this
+    // holder's stores from showing before the odd word (Boehm's seqlock).
+    if ((s & 1) == 0 && seq_.compare_exchange_weak(s, s + 1, std::memory_order_acquire,
+                                                   std::memory_order_relaxed)) {
+      std::atomic_thread_fence(std::memory_order_release);
       return s + 1;
     }
+    // Windows are a few stores per value; yield to a descheduled holder.
     if (spin % 64 == 63) {
       std::this_thread::yield();
     }
-    s = cell.seq.load(std::memory_order_relaxed);
+    s = seq_.load(std::memory_order_relaxed);
   }
 }
 
-void CheckContext::PublishCell(SlotCell& cell, uint32_t odd_seq) {
-  cell.seq.store(odd_seq + 1, std::memory_order_release);
-}
-
-CheckContext::CellRead CheckContext::TryReadCell(const SlotCell& cell, CtxValue* out) {
-  const uint32_t s1 = cell.seq.load(std::memory_order_acquire);
-  if ((s1 & 1) != 0) {
-    return CellRead::kUnstable;
-  }
-  const uint64_t header = cell.header.load(std::memory_order_relaxed);
-  const SlotTag tag = static_cast<SlotTag>(header & 0xff);
-  if (tag == SlotTag::kEmpty || tag == SlotTag::kOverflowStr) {
-    // No payload words to copy (empty) or none worth copying (overflow):
-    // validate just the header observation. Snapshot scans are mostly empty
-    // cells, so skipping the six word loads here is the scan's fast path.
+template <typename F>
+void CheckContext::ReadConsistent(F&& copy) const {
+  for (int attempt = 0; attempt < kOptimisticReads; ++attempt) {
+    const uint64_t s = seq_.load(std::memory_order_acquire);
+    if ((s & 1) != 0) {
+      continue;
+    }
+    const bool sane = copy();
+    // Orders the copy's loads before the re-check; all are atomic loads.
     std::atomic_thread_fence(std::memory_order_acquire);
-    if (cell.seq.load(std::memory_order_relaxed) != s1) {
-      return CellRead::kUnstable;
-    }
-    return tag == SlotTag::kEmpty ? CellRead::kEmpty : CellRead::kOverflow;
-  }
-  uint64_t words[kPayloadWords];
-  const uint32_t word_count = InlineWordCount(header);
-  for (uint32_t i = 0; i < word_count; ++i) {
-    words[i] = cell.words[i].load(std::memory_order_relaxed);
-  }
-  // The fence orders the payload loads before the seq re-check, so a write
-  // racing the copy is always caught (Boehm's seqlock reader idiom; every
-  // access is atomic, so this is TSan-clean by construction).
-  std::atomic_thread_fence(std::memory_order_acquire);
-  if (cell.seq.load(std::memory_order_relaxed) != s1) {
-    return CellRead::kUnstable;
-  }
-  DecodeInlineInto(header, words, out);
-  return CellRead::kOk;
-}
-
-// ----------------------------------------------------------- write paths
-
-HookBatch& CheckContext::OwnedBatch() {
-  HookBatch& batch = ThreadBatch();
-  if (batch.owner_id_ != id_) {
-    // Entries staged for another context and never flushed (its hook exited
-    // without MarkReady) are abandoned, not leaked into this one.
-    batch.entries_.clear();
-    batch.overflow_.clear();
-    batch.owner_id_ = id_;
-  }
-  return batch;
-}
-
-void CheckContext::StageWrite(uint32_t slot, int64_t value) {
-  HookBatch::Staged& e = OwnedBatch().entries_.emplace_back();
-  e.slot = slot;
-  e.header = static_cast<uint64_t>(SlotTag::kInt);
-  e.words[0] = static_cast<uint64_t>(value);
-}
-
-void CheckContext::StageWrite(uint32_t slot, double value) {
-  HookBatch::Staged& e = OwnedBatch().entries_.emplace_back();
-  e.slot = slot;
-  e.header = static_cast<uint64_t>(SlotTag::kDouble);
-  e.words[0] = std::bit_cast<uint64_t>(value);
-}
-
-void CheckContext::StageWrite(uint32_t slot, bool value) {
-  HookBatch::Staged& e = OwnedBatch().entries_.emplace_back();
-  e.slot = slot;
-  e.header = static_cast<uint64_t>(SlotTag::kBool);
-  e.words[0] = value ? 1 : 0;
-}
-
-void CheckContext::StageWrite(uint32_t slot, std::string value) {
-  HookBatch& batch = OwnedBatch();
-  HookBatch::Staged& e = batch.entries_.emplace_back();
-  e.slot = slot;
-  if (value.size() <= kInlineBytes) {
-    e.header = static_cast<uint64_t>(SlotTag::kInlineStr) |
-               (static_cast<uint64_t>(value.size()) << 8);
-    std::memcpy(e.words, value.data(), value.size());
-  } else {
-    e.header = static_cast<uint64_t>(SlotTag::kOverflowStr);
-    e.words[0] = batch.overflow_.size();  // index, resolved at striped flush
-    batch.overflow_.push_back(std::move(value));
-  }
-}
-
-void CheckContext::StageWrite(uint32_t slot, CtxValue value) {
-  if (const auto* i = std::get_if<int64_t>(&value)) {
-    StageWrite(slot, *i);
-  } else if (const auto* d = std::get_if<double>(&value)) {
-    StageWrite(slot, *d);
-  } else if (const auto* b = std::get_if<bool>(&value)) {
-    StageWrite(slot, *b);
-  } else {
-    StageWrite(slot, std::move(std::get<std::string>(value)));
-  }
-}
-
-CheckContext::SlotCell* CheckContext::CellFor(uint32_t slot) {
-  const uint32_t chunk_index = slot / kSlotsPerChunk;
-  assert(chunk_index < kMaxChunks && "context key slots exhausted");
-  std::atomic<Chunk*>& entry = chunks_[chunk_index];
-  Chunk* chunk = entry.load(std::memory_order_acquire);
-  if (chunk == nullptr) {
-    Chunk* fresh = new Chunk();
-    if (entry.compare_exchange_strong(chunk, fresh, std::memory_order_acq_rel,
-                                      std::memory_order_acquire)) {
-      chunk = fresh;
-    } else {
-      delete fresh;  // lost the race; `chunk` holds the winner
-    }
-    uint32_t limit = chunk_limit_.load(std::memory_order_relaxed);
-    while (limit < chunk_index + 1 &&
-           !chunk_limit_.compare_exchange_weak(limit, chunk_index + 1,
-                                               std::memory_order_acq_rel,
-                                               std::memory_order_relaxed)) {
+    if (sane && seq_.load(std::memory_order_relaxed) == s) {
+      return;
     }
   }
-  return &chunk->cells[slot % kSlotsPerChunk];
+  // Writers keep moving the word: hold it, copy, and put it back unchanged.
+  const uint64_t odd = Claim();
+  copy();
+  seq_.store(odd - 1, std::memory_order_release);
 }
 
-void CheckContext::MarkPopulated(uint32_t slot) {
-  Chunk* chunk = chunks_[slot / kSlotsPerChunk].load(std::memory_order_relaxed);
-  const uint32_t bit = 1u << (slot % kSlotsPerChunk);
-  if ((chunk->populated.load(std::memory_order_relaxed) & bit) == 0) {
-    chunk->populated.fetch_or(bit, std::memory_order_release);
-  }
-}
-
-uint64_t CheckContext::KeyEpoch(uint32_t slot) const {
-  const SlotCell* cell = CellIfPresent(slot);
-  if (cell == nullptr) {
-    return 0;
-  }
-  // The seqlock seq advances by 2 per publish (odd = mid-publish). (seq+1)>>1
-  // maps both the odd claim and the even release of publish n to n, keeping
-  // the epoch monotone and counting an in-flight write as already complete —
-  // a subscribed checker dispatched during the write sees the new data.
-  return (static_cast<uint64_t>(cell->seq.load(std::memory_order_acquire)) + 1) >> 1;
-}
-
-const CheckContext::SlotCell* CheckContext::CellIfPresent(uint32_t slot) const {
-  const uint32_t chunk_index = slot / kSlotsPerChunk;
-  if (chunk_index >= kMaxChunks) {
-    return nullptr;
-  }
-  const Chunk* chunk = chunks_[chunk_index].load(std::memory_order_acquire);
-  if (chunk == nullptr) {
-    return nullptr;
-  }
-  return &chunk->cells[slot % kSlotsPerChunk];
-}
-
-void CheckContext::StoreCellLocked(SlotCell& cell, CtxValue value) {
-  uint64_t header = 0;
-  uint64_t words[kPayloadWords];
-  const bool fits_inline = EncodeInline(value, &header, words);
-  const uint32_t odd = ClaimCell(cell);
-  if (fits_inline) {
-    cell.header.store(header, std::memory_order_relaxed);
-    const uint32_t word_count = InlineWordCount(header);
-    for (uint32_t i = 0; i < word_count; ++i) {
-      cell.words[i].store(words[i], std::memory_order_relaxed);
-    }
-  } else {
-    // Overflow strings live in the stripe-guarded member; the tag redirects
-    // readers onto the locked path. copy-in: replication, never aliasing.
-    cell.overflow = std::move(std::get<std::string>(value));
-    cell.header.store(static_cast<uint64_t>(SlotTag::kOverflowStr),
-                      std::memory_order_relaxed);
-  }
-  PublishCell(cell, odd);
-}
-
-void CheckContext::WriteSlot(uint32_t slot, CtxValue value) {
-  SlotCell* cell = CellFor(slot);
-  while (snapshot_waiters_.load(std::memory_order_acquire) != 0) {
-    std::this_thread::yield();  // let a pending locked snapshot go first
-  }
-  // Single-slot write: per-cell seqlock atomicity is the whole story, so no
-  // begun/done bracket — a snapshot either sees it or linearizes before it,
-  // and the seq-fingerprint re-check rejects mid-scan movement.
-  {
-    std::lock_guard<std::mutex> lock(stripes_[slot % kStripes]);
-    StoreCellLocked(*cell, std::move(value));
-  }
-  MarkPopulated(slot);
-}
-
-bool CheckContext::TryPublishSingle(const HookBatch::Staged& entry) {
-  if (static_cast<SlotTag>(entry.header & 0xff) == SlotTag::kOverflowStr) {
-    return false;  // needs overflow storage → stripe-locked flush
-  }
-  SlotCell& cell = *CellFor(entry.slot);
-  uint32_t s = cell.seq.load(std::memory_order_relaxed);
-  if ((s & 1) != 0 ||
-      !cell.seq.compare_exchange_strong(s, s + 1, std::memory_order_acq_rel,
-                                        std::memory_order_relaxed)) {
-    // Another writer is mid-publish on this cell; take the locked path
-    // instead of spinning so the fast path stays wait-free.
-    return false;
-  }
-  cell.header.store(entry.header, std::memory_order_relaxed);
-  const uint32_t word_count = InlineWordCount(entry.header);
-  for (uint32_t i = 0; i < word_count; ++i) {
-    cell.words[i].store(entry.words[i], std::memory_order_relaxed);
-  }
-  PublishCell(cell, s + 1);
-  MarkPopulated(entry.slot);
-  fastpath_publishes_.fetch_add(1, std::memory_order_relaxed);
-  return true;
-}
-
-bool CheckContext::FlushBatchLockFree(HookBatch& batch) {
-  // Stack-bounded: real hook batches carry a handful of values. Bigger ones
-  // (none exist in-repo) just take the striped path.
-  constexpr size_t kMaxFast = 16;
-  if (batch.entries_.size() > kMaxFast) {
-    return false;
-  }
-  // Entries are already in cell wire format; an overflow string bails to the
-  // striped path before any shared state is touched. Duplicate slots
-  // collapse to the batch's last write (claiming one cell twice would
-  // self-deadlock).
-  const HookBatch::Staged* picked[kMaxFast];
-  size_t n = 0;
-  for (const HookBatch::Staged& e : batch.entries_) {
-    if (static_cast<SlotTag>(e.header & 0xff) == SlotTag::kOverflowStr) {
-      return false;
-    }
-    size_t j = 0;
-    while (j < n && picked[j]->slot != e.slot) {
-      ++j;
-    }
-    picked[j] = &e;
-    if (j == n) {
-      ++n;
-    }
-  }
-  // Claim order must be ascending so overlapping batches serialize on their
-  // first common cell (ordered two-phase claiming). One- and two-entry
-  // batches — the dominant hook shapes — order with a single compare;
-  // anything larger takes the insertion sort (n is still tiny).
-  size_t order[kMaxFast];
-  if (n <= 2) {
-    const bool swap = n == 2 && picked[0]->slot > picked[1]->slot;
-    order[0] = swap ? 1 : 0;
-    order[n - 1] = swap ? 0 : n - 1;
-  } else {
-    for (size_t i = 0; i < n; ++i) {
-      size_t j = i;
-      while (j > 0 && picked[order[j - 1]]->slot > picked[i]->slot) {
-        order[j] = order[j - 1];
-        --j;
+CheckContext::Cell& CheckContext::Touch(uint32_t slot) {
+  Table* table = table_.load(std::memory_order_relaxed);
+  uint32_t index = table != nullptr && slot < table->index.size()
+                       ? table->index[slot].load(std::memory_order_relaxed)
+                       : 0;
+  if (index == 0) {
+    const uint32_t n = size_.load(std::memory_order_relaxed);
+    if (table == nullptr || slot >= table->index.size() || n == table->cells.size()) {
+      // Index every key interned so far, doubling (keys interned one by one
+      // must not force a copy each); the old table stays for readers.
+      const size_t indexed = std::max<size_t>(slot + 1, KeyRegistry::Instance().size());
+      auto grown = std::make_unique<Table>(
+          std::clamp<size_t>(table == nullptr ? 0 : 2 * table->index.size(), indexed,
+                             KeyRegistry::kMaxKeys),
+          std::max<size_t>(4, 2 * n));
+      for (size_t i = 0; table != nullptr && i < table->index.size(); ++i) {
+        grown->index[i].store(table->index[i].load(std::memory_order_relaxed),
+                              std::memory_order_relaxed);
       }
-      order[j] = i;
-    }
-  }
-  SlotCell* cells[kMaxFast];
-  for (size_t i = 0; i < n; ++i) {
-    cells[i] = CellFor(picked[i]->slot);  // may allocate the chunk
-  }
-  // Same anti-starvation gate as the striped path (see FlushBatch), but NO
-  // begun/done bracket: because every cell is claimed before any is
-  // published (two-phase), a reader that saw one of this batch's publishes
-  // necessarily finds every other batch cell's seq changed afterwards, so
-  // the snapshot seq-fingerprint re-check catches any torn observation
-  // without the flush paying two counter RMWs per fire.
-  while (snapshot_waiters_.load(std::memory_order_acquire) != 0) {
-    std::this_thread::yield();
-  }
-  uint32_t odd[kMaxFast];
-  for (size_t i = 0; i < n; ++i) {
-    odd[order[i]] = ClaimCell(*cells[order[i]]);
-  }
-  // All cells held odd: store payloads, then publish. A reader can never see
-  // part of the batch settle before the rest — unpublished cells read as
-  // unstable until the last publish lands.
-  for (size_t i = 0; i < n; ++i) {
-    cells[i]->header.store(picked[i]->header, std::memory_order_relaxed);
-    const uint32_t word_count = InlineWordCount(picked[i]->header);
-    for (uint32_t w = 0; w < word_count; ++w) {
-      cells[i]->words[w].store(picked[i]->words[w], std::memory_order_relaxed);
-    }
-    PublishCell(*cells[i], odd[i]);
-    MarkPopulated(picked[i]->slot);
-  }
-  return true;
-}
-
-void CheckContext::FlushBatch(HookBatch& batch) {
-  if (batch.entries_.empty()) {
-    return;
-  }
-  if (FlushBatchLockFree(batch)) {
-    batch.entries_.clear();
-    return;
-  }
-  // Pre-create cells (may allocate a chunk) before taking any stripe.
-  uint32_t stripe_mask = 0;
-  for (const HookBatch::Staged& e : batch.entries_) {
-    (void)CellFor(e.slot);
-    stripe_mask |= 1u << (e.slot % kStripes);
-  }
-  // Gate check before entering the flush window: costs one relaxed-class
-  // load per flush when idle, and keeps a hot writer fleet from barging the
-  // stripes away from a locked-fallback snapshot indefinitely.
-  while (snapshot_waiters_.load(std::memory_order_acquire) != 0) {
-    std::this_thread::yield();
-  }
-  // All touched stripes held at once, acquired in ascending order (the same
-  // order the locked snapshot fallback uses), so a locked reader can never
-  // see half a batch and two overlapping batches can never interleave their
-  // slots.
-  for (uint32_t s = 0; s < kStripes; ++s) {
-    if (stripe_mask & (1u << s)) {
-      stripes_[s].lock();
-    }
-  }
-  // The begun/done bracket lets optimistic snapshots prove no STRIPED flush
-  // overlapped their scan — cells here publish one at a time, so per-cell
-  // seqs alone can't rule out a half-landed batch. It sits inside the stripe
-  // section so the counters only ever move while some stripe is held: the
-  // locked fallback, which holds them all, can therefore never deadlock
-  // waiting on a flusher that is itself queued behind those stripes. The
-  // acq_rel RMW keeps the cell stores below from hoisting above it.
-  flushes_begun_.fetch_add(1, std::memory_order_acq_rel);
-  for (const HookBatch::Staged& e : batch.entries_) {
-    SlotCell& cell = *CellFor(e.slot);
-    const uint32_t odd = ClaimCell(cell);
-    if (static_cast<SlotTag>(e.header & 0xff) == SlotTag::kOverflowStr) {
-      // The staged entry carries the overflow_ index; the string itself
-      // lands in the stripe-guarded member.
-      cell.overflow = std::move(batch.overflow_[e.words[0]]);
-      cell.header.store(static_cast<uint64_t>(SlotTag::kOverflowStr),
-                        std::memory_order_relaxed);
-    } else {
-      cell.header.store(e.header, std::memory_order_relaxed);
-      const uint32_t word_count = InlineWordCount(e.header);
-      for (uint32_t w = 0; w < word_count; ++w) {
-        cell.words[w].store(e.words[w], std::memory_order_relaxed);
+      for (uint32_t i = 0; i < n; ++i) {
+        const Cell& from = table->cells[i];
+        Cell& to = grown->cells[i];
+        to.slot.store(from.slot.load(std::memory_order_relaxed), std::memory_order_relaxed);
+        to.publishes.store(from.publishes.load(std::memory_order_relaxed),
+                           std::memory_order_relaxed);
+        to.header.store(from.header.load(std::memory_order_relaxed), std::memory_order_relaxed);
+        to.word.store(from.word.load(std::memory_order_relaxed), std::memory_order_relaxed);
+        to.bytes.store(from.bytes.load(std::memory_order_relaxed), std::memory_order_relaxed);
       }
+      table = grown.get();
+      tables_.push_back(std::move(grown));
+      table_.store(table, std::memory_order_release);
     }
-    PublishCell(cell, odd);
-    MarkPopulated(e.slot);
+    index = n + 1;
+    table->cells[n].slot.store(slot, std::memory_order_relaxed);
+    table->index[slot].store(index, std::memory_order_relaxed);
+    size_.store(index, std::memory_order_relaxed);
   }
-  flushes_done_.fetch_add(1, std::memory_order_acq_rel);
-  for (uint32_t s = kStripes; s-- > 0;) {
-    if (stripe_mask & (1u << s)) {
-      stripes_[s].unlock();
-    }
-  }
-  batch.entries_.clear();
-  batch.overflow_.clear();
+  Cell& cell = table->cells[index - 1];
+  cell.publishes.store(cell.publishes.load(std::memory_order_relaxed) + 1,
+                       std::memory_order_relaxed);
+  return cell;
 }
 
 void CheckContext::MarkReady(TimeNs now) {
-  HookBatch& batch = ThreadBatch();
-  if (batch.owner_id_ == id_) {
-    // Single-value batches — the dominant hook shape — publish with one
-    // claim-CAS and one release store, skipping the stripe dance entirely.
-    if (batch.entries_.size() == 1 && TryPublishSingle(batch.entries_[0])) {
-      batch.entries_.clear();
+  Batch& batch = ThreadBatch();
+  const bool owned = batch.owner_id == id_;
+  const uint64_t odd = Claim();
+  for (size_t e = 0; owned && e < batch.entries.size(); ++e) {
+    const Batch::Staged& staged = batch.entries[e];
+    Cell& cell = Touch(staged.slot);
+    if (static_cast<Tag>(staged.header & 0xff) == Tag::kString) {
+      const size_t len = static_cast<size_t>(staged.header >> 8);
+      const size_t words = (len + 7) / 8;
+      std::atomic<uint64_t>* buffer = cell.bytes.load(std::memory_order_relaxed);
+      if (buffer == nullptr || buffer[0].load(std::memory_order_relaxed) < words) {
+        const size_t capacity = std::bit_ceil(std::max<size_t>(words, 2));
+        buffers_.push_back(std::make_unique<std::atomic<uint64_t>[]>(capacity + 1));
+        buffer = buffers_.back().get();
+        buffer[0].store(capacity, std::memory_order_relaxed);
+        cell.bytes.store(buffer, std::memory_order_release);
+      }
+      for (size_t i = 0; i < words; ++i) {
+        uint64_t word = 0;
+        std::memcpy(&word, batch.bytes.data() + staged.word + 8 * i,
+                    std::min<size_t>(8, len - 8 * i));
+        buffer[1 + i].store(word, std::memory_order_relaxed);
+      }
     } else {
-      FlushBatch(batch);
+      cell.word.store(staged.word, std::memory_order_relaxed);
     }
-    batch.owner_id_ = 0;
+    cell.header.store(staged.header, std::memory_order_relaxed);
   }
+  // Inside the window, so a snapshot's epoch is the one its values carry.
   last_update_.store(now, std::memory_order_release);
-  epoch_.fetch_add(1, std::memory_order_acq_rel);
+  epoch_.store(epoch_.load(std::memory_order_relaxed) + 1, std::memory_order_release);
+  seq_.store(odd + 1, std::memory_order_release);
   ready_.store(true, std::memory_order_release);
+  if (owned) {
+    batch.entries.clear();
+    batch.bytes.clear();
+    batch.owner_id = 0;
+  }
 }
-
-void CheckContext::Invalidate() { ready_.store(false, std::memory_order_release); }
 
 size_t CheckContext::pending_batch_size() const {
-  const HookBatch& batch = ThreadBatch();
-  return batch.owner_id_ == id_ ? batch.entries_.size() : 0;
+  const Batch& batch = ThreadBatch();
+  return batch.owner_id == id_ ? batch.entries.size() : 0;
 }
 
-// ------------------------------------------------------------ read paths
+uint64_t CheckContext::KeyEpoch(uint32_t slot) const {
+  // Index entries of a table only ever name that table's cells.
+  const Table* table = table_.load(std::memory_order_acquire);
+  const uint32_t index = table == nullptr || slot >= table->index.size()
+                             ? 0
+                             : table->index[slot].load(std::memory_order_relaxed);
+  return index == 0 ? 0 : table->cells[index - 1].publishes.load(std::memory_order_relaxed);
+}
+
+bool CheckContext::ReadCell(const Cell& cell, CtxValue* out) {
+  const uint64_t header = cell.header.load(std::memory_order_relaxed);
+  const uint64_t word = cell.word.load(std::memory_order_relaxed);
+  switch (static_cast<Tag>(header & 0xff)) {
+    case Tag::kInt:
+      *out = static_cast<int64_t>(word);
+      return true;
+    case Tag::kDouble:
+      *out = std::bit_cast<double>(word);
+      return true;
+    case Tag::kBool:
+      *out = word != 0;
+      return true;
+    case Tag::kString: {
+      const std::atomic<uint64_t>* buffer = cell.bytes.load(std::memory_order_acquire);
+      if (buffer == nullptr) {
+        return false;
+      }
+      // A torn (header, buffer) pair is clamped to the buffer's capacity.
+      const size_t len =
+          std::min<size_t>(header >> 8, buffer[0].load(std::memory_order_relaxed) * 8);
+      std::string& text = out->emplace<std::string>(len, '\0');
+      for (size_t i = 0; i < len; i += 8) {
+        const uint64_t chunk = buffer[1 + i / 8].load(std::memory_order_relaxed);
+        std::memcpy(text.data() + i, &chunk, std::min<size_t>(8, len - i));
+      }
+      return true;
+    }
+    default:
+      return false;
+  }
+}
 
 std::optional<CtxValue> CheckContext::ReadSlot(uint32_t slot) const {
-  const SlotCell* cell = CellIfPresent(slot);
-  if (cell == nullptr) {
-    return std::nullopt;
-  }
-  CtxValue value;
-  for (int attempt = 0; attempt < kCellRetries; ++attempt) {
-    switch (TryReadCell(*cell, &value)) {
-      case CellRead::kOk:
-        return value;
-      case CellRead::kEmpty:
-        return std::nullopt;
-      case CellRead::kOverflow:
-        get_fallbacks_.fetch_add(1, std::memory_order_relaxed);
-        return ReadSlotLocked(slot, *cell);
-      case CellRead::kUnstable:
-        break;  // writer mid-publish; its window is a few stores — retry
+  std::optional<CtxValue> value;
+  ReadConsistent([&] {
+    value.reset();
+    const Table* table = table_.load(std::memory_order_acquire);
+    if (table == nullptr || slot >= table->index.size()) {
+      return true;
     }
-  }
-  get_fallbacks_.fetch_add(1, std::memory_order_relaxed);
-  return ReadSlotLocked(slot, *cell);
-}
-
-bool CheckContext::ReadCellStripeHeld(const SlotCell& cell, CtxValue* out) const {
-  // Stripe held: striped flushes and overflow writers are excluded. The
-  // remaining racers — the single-value fast path and the lock-free batch
-  // flush — hold a cell odd only for a handful of stores before publishing
-  // (neither blocks while claiming), so the loop converges quickly.
-  for (int spin = 0;; ++spin) {
-    switch (TryReadCell(cell, out)) {
-      case CellRead::kOk:
-        return true;
-      case CellRead::kEmpty:
-        return false;
-      case CellRead::kOverflow: {
-        const uint32_t s1 = cell.seq.load(std::memory_order_acquire);
-        const uint64_t header = cell.header.load(std::memory_order_acquire);
-        if ((s1 & 1) == 0 &&
-            static_cast<SlotTag>(header & 0xff) == SlotTag::kOverflowStr) {
-          // `overflow` is only mutated under this stripe, so the copy itself
-          // is safe; the seq re-check pairs it with the tag we validated.
-          std::string copy = cell.overflow;
-          std::atomic_thread_fence(std::memory_order_acquire);
-          if (cell.seq.load(std::memory_order_relaxed) == s1) {
-            *out = CtxValue(std::move(copy));
-            return true;
-          }
-        }
-        break;
-      }
-      case CellRead::kUnstable:
-        break;
-    }
-    if (spin % 64 == 63) {
-      std::this_thread::yield();
-    }
-  }
-}
-
-std::optional<CtxValue> CheckContext::ReadSlotLocked(uint32_t slot,
-                                                     const SlotCell& cell) const {
-  std::lock_guard<std::mutex> lock(stripes_[slot % kStripes]);
-  CtxValue value;
-  if (!ReadCellStripeHeld(cell, &value)) {
-    return std::nullopt;
-  }
+    const uint32_t cell = table->index[slot].load(std::memory_order_relaxed);
+    return cell == 0 ||
+           (cell <= table->cells.size() && ReadCell(table->cells[cell - 1], &value.emplace()));
+  });
   return value;
-}
-
-std::optional<CtxValue> CheckContext::Get(const std::string& key) const {
-  const auto slot = KeyRegistry::Instance().Find(key);
-  if (!slot.has_value()) {
-    return std::nullopt;
-  }
-  return ReadSlot(*slot);
 }
 
 CheckContext::ConsistentSnapshot CheckContext::SnapshotConsistent() const {
   ConsistentSnapshot snapshot;
-  // Values land directly in the result's flat entry array — one reserve up
-  // front (slot capacity is tiny: chunks in use × kSlotsPerChunk), no
-  // intermediate scratch, no per-entry re-move on success.
   KeyRegistry& registry = KeyRegistry::Instance();
   std::vector<CtxSnapshot::Entry>& entries = snapshot.values.entries_;
-  const uint32_t chunk_limit = chunk_limit_.load(std::memory_order_acquire);
-  entries.reserve(static_cast<size_t>(chunk_limit) * kSlotsPerChunk);
-  for (int attempt = 0; attempt < kSnapshotRetries; ++attempt) {
+  ReadConsistent([&] {
     entries.clear();
-    const uint64_t begun = flushes_begun_.load(std::memory_order_acquire);
-    if (flushes_done_.load(std::memory_order_acquire) != begun) {
-      // A striped batch flush is mid-flight right now; its cells would tear.
-      snapshot_retries_.fetch_add(1, std::memory_order_relaxed);
-      continue;
+    snapshot.epoch = epoch_.load(std::memory_order_relaxed);
+    snapshot.last_update = last_update_.load(std::memory_order_relaxed);
+    const Table* table = table_.load(std::memory_order_acquire);
+    if (table == nullptr) {
+      return true;
     }
-    // Fingerprint pre-pass: freeze the set of cells this attempt will visit
-    // (the populated masks) and sum their seq counters. Seqs only ever grow,
-    // so an equal sum after the value pass proves no visited cell moved
-    // while values were being copied. Because the lock-free flush claims
-    // EVERY batch cell (odd seq) before publishing ANY, a reader that copied
-    // one value of a batch finds some other visited seq changed by re-check
-    // time — so the fingerprint rules out torn batches without the write
-    // path paying a per-flush counter bracket. Striped flushes publish cell
-    // by cell and are covered by the begun/done bracket instead.
-    const Chunk* chunk_ptrs[kMaxChunks];
-    uint32_t masks[kMaxChunks];
-    uint64_t fingerprint = 0;
-    for (uint32_t ci = 0; ci < chunk_limit; ++ci) {
-      const Chunk* chunk = chunks_[ci].load(std::memory_order_acquire);
-      chunk_ptrs[ci] = chunk;
-      // Only ever-populated cells are worth probing; the bitmask iteration
-      // skips the (typically dominant) empty remainder of the chunk.
-      uint32_t mask =
-          chunk == nullptr ? 0u : chunk->populated.load(std::memory_order_acquire);
-      masks[ci] = mask;
-      while (mask != 0) {
-        const uint32_t i = static_cast<uint32_t>(std::countr_zero(mask));
-        mask &= mask - 1;
-        fingerprint += chunk->cells[i].seq.load(std::memory_order_relaxed);
+    const size_t n =
+        std::min<size_t>(size_.load(std::memory_order_relaxed), table->cells.size());
+    const uint32_t known = registry.size();
+    entries.reserve(n);
+    for (size_t i = 0; i < n; ++i) {
+      const uint32_t slot = table->cells[i].slot.load(std::memory_order_relaxed);
+      // Only interned slots are ever stored; anything else is a torn view.
+      if (slot >= known ||
+          !ReadCell(table->cells[i], &entries.emplace_back(&registry.NameOf(slot), 0).second)) {
+        return false;
       }
     }
-    // Orders the fingerprint loads before every value load below — the
-    // seqlock reader-entry fence (all accesses atomic: TSan-clean).
-    std::atomic_thread_fence(std::memory_order_acquire);
-    bool stable = true;
-    for (uint32_t ci = 0; ci < chunk_limit && stable; ++ci) {
-      const Chunk* chunk = chunk_ptrs[ci];
-      uint32_t mask = masks[ci];
-      while (mask != 0) {
-        const uint32_t i = static_cast<uint32_t>(std::countr_zero(mask));
-        mask &= mask - 1;
-        const SlotCell& cell = chunk->cells[i];
-        const uint32_t slot = ci * kSlotsPerChunk + i;
-        // Emplace first and decode straight into the entry's variant — no
-        // temporary CtxValue, no post-scan move. Misreads pop it back off.
-        CtxSnapshot::Entry& entry =
-            entries.emplace_back(&registry.NameOf(slot), CtxValue{});
-        CellRead read = CellRead::kUnstable;
-        for (int spin = 0; spin < kCellRetries; ++spin) {
-          read = TryReadCell(cell, &entry.second);
-          if (read != CellRead::kUnstable) {
-            break;
-          }
-        }
-        if (read == CellRead::kUnstable) {
-          stable = false;  // the whole attempt is discarded
-          break;
-        }
-        if (read == CellRead::kOverflow) {
-          // Long string: one stripe briefly, for this cell only — the scan
-          // stays lock-free for every inline slot.
-          auto locked = ReadSlotLocked(slot, cell);
-          if (locked.has_value()) {
-            entry.second = std::move(*locked);
-          } else {
-            entries.pop_back();
-          }
-          continue;
-        }
-        if (read != CellRead::kOk) {
-          entries.pop_back();  // kEmpty: bit raced a first write mid-claim
-        }
-      }
-    }
-    // The fence orders every value load before the validation loads: the
-    // bracket re-check (striped flushes) and the fingerprint re-check
-    // (fast-path publishes and lock-free batch flushes). Either moving
-    // during the scan discards the attempt, so a snapshot can never mix two
-    // concurrently-published batches.
-    std::atomic_thread_fence(std::memory_order_acquire);
-    if (!stable || flushes_begun_.load(std::memory_order_relaxed) != begun) {
-      snapshot_retries_.fetch_add(1, std::memory_order_relaxed);
-      continue;
-    }
-    uint64_t recheck = 0;
-    for (uint32_t ci = 0; ci < chunk_limit; ++ci) {
-      const Chunk* chunk = chunk_ptrs[ci];
-      uint32_t mask = masks[ci];
-      while (mask != 0) {
-        const uint32_t i = static_cast<uint32_t>(std::countr_zero(mask));
-        mask &= mask - 1;
-        recheck += chunk->cells[i].seq.load(std::memory_order_relaxed);
-      }
-    }
-    if (recheck != fingerprint) {
-      snapshot_retries_.fetch_add(1, std::memory_order_relaxed);
-      continue;
-    }
-    snapshot_optimistic_.fetch_add(1, std::memory_order_relaxed);
-    snapshot.epoch = epoch_.load(std::memory_order_acquire);
-    snapshot.last_update = last_update_.load(std::memory_order_acquire);
-    return snapshot;
-  }
-  snapshot_fallbacks_.fetch_add(1, std::memory_order_relaxed);
-  return SnapshotLocked();
-}
-
-CheckContext::ConsistentSnapshot CheckContext::SnapshotLocked() const {
-  ConsistentSnapshot snapshot;
-  snapshot_waiters_.fetch_add(1, std::memory_order_acq_rel);
-  // Holding every stripe quiesces the striped writers (overflow batches,
-  // WriteSlot): their begun/done bracket only moves while a stripe is held,
-  // so no striped flush can be in flight here and none can start. Lock-free
-  // batch flushes and fast-path publishes don't take stripes; consistency
-  // against them comes from the same seq-fingerprint the optimistic path
-  // uses, in a retry loop. The retries are bounded — the waiter count we
-  // bumped above gates NEW lock-free flushes, so only writers already past
-  // the gate check can move a visited seq, at most once each.
-  for (uint32_t s = 0; s < kStripes; ++s) {
-    stripes_[s].lock();
-  }
-  KeyRegistry& registry = KeyRegistry::Instance();
-  const uint32_t chunk_limit = chunk_limit_.load(std::memory_order_acquire);
-  for (;;) {
-    snapshot.values.entries_.clear();
-    const Chunk* chunk_ptrs[kMaxChunks];
-    uint32_t masks[kMaxChunks];
-    uint64_t fingerprint = 0;
-    for (uint32_t ci = 0; ci < chunk_limit; ++ci) {
-      const Chunk* chunk = chunks_[ci].load(std::memory_order_acquire);
-      chunk_ptrs[ci] = chunk;
-      uint32_t mask =
-          chunk == nullptr ? 0u : chunk->populated.load(std::memory_order_acquire);
-      masks[ci] = mask;
-      while (mask != 0) {
-        const uint32_t i = static_cast<uint32_t>(std::countr_zero(mask));
-        mask &= mask - 1;
-        fingerprint += chunk->cells[i].seq.load(std::memory_order_relaxed);
-      }
-    }
-    std::atomic_thread_fence(std::memory_order_acquire);
-    for (uint32_t ci = 0; ci < chunk_limit; ++ci) {
-      const Chunk* chunk = chunk_ptrs[ci];
-      uint32_t mask = masks[ci];
-      while (mask != 0) {
-        const uint32_t i = static_cast<uint32_t>(std::countr_zero(mask));
-        mask &= mask - 1;
-        CtxValue value;
-        if (ReadCellStripeHeld(chunk->cells[i], &value)) {
-          snapshot.values.entries_.emplace_back(
-              &registry.NameOf(ci * kSlotsPerChunk + i), std::move(value));
-        }
-      }
-    }
-    std::atomic_thread_fence(std::memory_order_acquire);
-    uint64_t recheck = 0;
-    for (uint32_t ci = 0; ci < chunk_limit; ++ci) {
-      const Chunk* chunk = chunk_ptrs[ci];
-      uint32_t mask = masks[ci];
-      while (mask != 0) {
-        const uint32_t i = static_cast<uint32_t>(std::countr_zero(mask));
-        mask &= mask - 1;
-        recheck += chunk->cells[i].seq.load(std::memory_order_relaxed);
-      }
-    }
-    if (recheck == fingerprint) {
-      break;
-    }
-    std::this_thread::yield();  // a pre-gate lock-free writer raced the scan
-  }
-  snapshot.epoch = epoch_.load(std::memory_order_acquire);
-  snapshot.last_update = last_update_.load(std::memory_order_acquire);
-  for (uint32_t s = kStripes; s-- > 0;) {
-    stripes_[s].unlock();
-  }
-  snapshot_waiters_.fetch_sub(1, std::memory_order_acq_rel);
+    return true;
+  });
   return snapshot;
 }
 
-CtxSnapshot CheckContext::Snapshot() const {
-  return SnapshotConsistent().values;
-}
-
-CheckContext::ReadStats CheckContext::read_stats() const {
-  ReadStats stats;
-  stats.snapshot_optimistic = snapshot_optimistic_.load(std::memory_order_relaxed);
-  stats.snapshot_retries = snapshot_retries_.load(std::memory_order_relaxed);
-  stats.snapshot_fallbacks = snapshot_fallbacks_.load(std::memory_order_relaxed);
-  stats.get_fallbacks = get_fallbacks_.load(std::memory_order_relaxed);
-  stats.fastpath_publishes = fastpath_publishes_.load(std::memory_order_relaxed);
-  return stats;
-}
-
-namespace {
-
-// v2 dump tag for a value ("i:" / "d:" / "b:" / "s:"), so ParseDump restores
-// the exact type — an untagged "1234" can only be guessed at by shape.
-char DumpTag(const CtxValue& value) {
-  if (std::holds_alternative<int64_t>(value)) {
-    return 'i';
-  }
-  if (std::holds_alternative<double>(value)) {
-    return 'd';
-  }
-  if (std::holds_alternative<bool>(value)) {
-    return 'b';
-  }
-  return 's';
-}
-
-// Legacy (untagged) value recovery by shape: bools, ints, doubles, strings.
-CtxValue ParseUntagged(const std::string& text) {
-  if (text == "true" || text == "false") {
-    return text == "true";
-  }
-  char* end = nullptr;
-  const long long as_int = std::strtoll(text.c_str(), &end, 10);
-  if (end != nullptr && *end == '\0' && !text.empty()) {
-    return static_cast<int64_t>(as_int);
-  }
-  const double as_double = std::strtod(text.c_str(), &end);
-  if (end != nullptr && *end == '\0' && !text.empty()) {
-    return as_double;
-  }
-  return text;
-}
-
-}  // namespace
-
 std::string CheckContext::Dump() const {
-  const CtxSnapshot snapshot = Snapshot();
-  // Snapshot entries come in slot (intern) order, which depends on which
-  // hook site ran first; sort by name so a failure signature's dump is
-  // byte-stable across runs.
-  std::vector<const CtxSnapshot::Entry*> ordered;
-  ordered.reserve(snapshot.size());
-  for (const auto& entry : snapshot) {
-    ordered.push_back(&entry);
-  }
-  std::sort(ordered.begin(), ordered.end(),
-            [](const CtxSnapshot::Entry* a, const CtxSnapshot::Entry* b) {
-              return *a->first < *b->first;
-            });
+  // Sorted by name, so failure signatures are byte-stable across runs; the
+  // tag ("i:", "d:", "b:", "s:", by variant index) keeps the exact type.
   std::string out = "{";
-  bool first = true;
-  for (const CtxSnapshot::Entry* entry : ordered) {
-    if (!first) {
-      out += ", ";
-    }
-    first = false;
-    out += *entry->first + "=";
-    out += DumpTag(entry->second);
-    out += ':' + CtxValueToString(entry->second);
+  for (const auto& [name, value] : Snapshot().ToMap()) {
+    out += (out.size() > 1 ? ", " : "") + name + "=" + "idbs"[value.index()] + ":" +
+           CtxValueToString(value);
   }
-  out += "}";
-  return out;
+  return out + "}";
 }
 
 std::map<std::string, CtxValue> CheckContext::ParseDump(const std::string& dump) {
   std::map<std::string, CtxValue> values;
-  std::string body = dump;
-  if (body.size() >= 2 && body.front() == '{' && body.back() == '}') {
-    body = body.substr(1, body.size() - 2);
-  }
-  for (const std::string& entry : StrSplit(body, ',')) {
+  const bool braced = dump.size() >= 2 && dump.front() == '{' && dump.back() == '}';
+  for (const std::string& entry : StrSplit(braced ? dump.substr(1, dump.size() - 2) : dump, ',')) {
     const std::string_view trimmed = StrTrim(entry);
     const size_t eq = trimmed.find('=');
     if (eq == std::string_view::npos || eq == 0) {
       continue;
     }
     const std::string key(trimmed.substr(0, eq));
-    const std::string text(trimmed.substr(eq + 1));
-    if (text.size() >= 2 && text[1] == ':' &&
-        (text[0] == 'i' || text[0] == 'd' || text[0] == 'b' || text[0] == 's')) {
-      const std::string payload = text.substr(2);
-      switch (text[0]) {
-        case 'i':
-          values[key] = static_cast<int64_t>(std::strtoll(payload.c_str(), nullptr, 10));
-          break;
-        case 'd':
-          values[key] = std::strtod(payload.c_str(), nullptr);
-          break;
-        case 'b':
-          values[key] = payload == "true";
-          break;
-        default:
-          values[key] = payload;  // verbatim, even if it looks numeric
-          break;
-      }
-      continue;
+    std::string text(trimmed.substr(eq + 1));
+    char tag = '?';  // untagged (legacy): the type is recovered by shape
+    if (text.size() >= 2 && text[1] == ':' && std::memchr("idbs", text[0], 4) != nullptr) {
+      tag = text[0];
+      text.erase(0, 2);
     }
-    values[key] = ParseUntagged(text);
+    char* end = nullptr;
+    const long long as_int = std::strtoll(text.c_str(), &end, 10);
+    const bool is_int = !text.empty() && *end == '\0';
+    const double as_double = std::strtod(text.c_str(), &end);
+    const bool is_double = !text.empty() && *end == '\0';
+    if (tag == 'i' || (tag == '?' && is_int)) {
+      values[key] = static_cast<int64_t>(as_int);
+    } else if (tag == 'd' || (tag == '?' && is_double)) {
+      values[key] = as_double;
+    } else if (tag == 'b' || (tag == '?' && (text == "true" || text == "false"))) {
+      values[key] = text == "true";
+    } else {
+      values[key] = std::move(text);  // tagged strings stay verbatim
+    }
   }
   return values;
 }
 
-void CheckContext::Restore(const std::map<std::string, CtxValue>& values, TimeNs now) {
-  // Dump text carries no static type information, so restored keys intern as
-  // kAny and go through the untyped slot path directly. This is the only
-  // string-keyed write left in the tree; live code uses ContextKey<T>.
+Status CheckContext::Restore(const std::map<std::string, CtxValue>& values, TimeNs now) {
+  // Dumps carry no static types: keys intern as kAny, all before anything
+  // is staged, so a full registry leaves the context untouched.
+  std::vector<uint32_t> slots;
   for (const auto& [key, value] : values) {
-    WriteSlot(KeyRegistry::Instance().Intern(key, CtxType::kAny), value);
+    const auto slot = KeyRegistry::Instance().TryIntern(key, CtxType::kAny);
+    if (!slot.has_value()) {
+      return ResourceExhaustedError("context key registry full; cannot restore key '" + key +
+                                    "'");
+    }
+    slots.push_back(*slot);
+  }
+  auto slot = slots.begin();
+  for (const auto& [key, value] : values) {
+    StageWrite(*slot++, value);
   }
   MarkReady(now);
+  return Status::Ok();
 }
 
 // --------------------------------------------------------------- HookSet
@@ -1060,12 +467,6 @@ CheckContext* HookSet::Context(const std::string& name) {
   return slot.get();
 }
 
-void HookSet::Arm(const std::string& site, const std::string& context) {
-  Site(site)->Arm(Context(context));
-}
-
-void HookSet::Disarm(const std::string& site) { Site(site)->Disarm(); }
-
 void HookSet::DisarmAll() {
   std::lock_guard<std::mutex> lock(mu_);
   for (auto& [_, site] : sites_) {
@@ -1076,7 +477,6 @@ void HookSet::DisarmAll() {
 std::vector<std::string> HookSet::SiteNames() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::vector<std::string> names;
-  names.reserve(sites_.size());
   for (const auto& [name, _] : sites_) {
     names.push_back(name);
   }
@@ -1086,7 +486,6 @@ std::vector<std::string> HookSet::SiteNames() const {
 std::vector<std::string> HookSet::ContextNames() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::vector<std::string> names;
-  names.reserve(contexts_.size());
   for (const auto& [name, _] : contexts_) {
     names.push_back(name);
   }
@@ -1095,13 +494,8 @@ std::vector<std::string> HookSet::ContextNames() const {
 
 int HookSet::ArmedCount() const {
   std::lock_guard<std::mutex> lock(mu_);
-  int count = 0;
-  for (const auto& [_, site] : sites_) {
-    if (site->armed()) {
-      ++count;
-    }
-  }
-  return count;
+  return static_cast<int>(std::count_if(sites_.begin(), sites_.end(),
+                                        [](const auto& entry) { return entry.second->armed(); }));
 }
 
 }  // namespace wdg

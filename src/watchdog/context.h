@@ -1,41 +1,18 @@
 // Contexts and hooks: the one-way state synchronization between the main
 // program and its watchdog (paper §3.1 "State Synchronization").
 //
-// A CheckContext is the payload store bound to a checker. The main program
-// updates it through *hook sites* placed at the points AutoWatchdog (or a
-// human) selected; updates replicate values *into* the context (deep copy) so
-// checkers can never mutate main-program state through it — replication is
-// the memory-isolation mechanism of §5.1. Synchronization is strictly
-// one-way: nothing ever flows from the context back into the program.
+// Hook sites in the main program replicate values *into* a CheckContext (deep
+// copy), so checkers never mutate main-program state (the isolation of §5.1).
+// Writes go through typed keys, stage in a thread-local batch, and become
+// visible together at MarkReady(); the driver runs no checker whose context
+// is not READY (the paper's canonical spurious-report example).
 //
-// Context API v2 (the hot-path redesign):
-//
-//   * Typed keys. A `ContextKey<T>` is registered once (process-wide) and
-//     resolves a name to a slot index, so a hook-site write is an indexed
-//     store — no string hashing, no map insert, no global lock.
-//   * Sharded storage. Slots live in lazily-allocated chunks; writers are
-//     serialized by striped locks, so concurrent hook sites writing
-//     different keys never contend on a shared mutex.
-//   * Batched one-way sync. Writes staged through the typed API accumulate
-//     in a thread-local HookBatch; MarkReady() flushes the whole batch under
-//     the (few) stripes it touches and only then publishes the epoch + READY
-//     flag. Checkers therefore only ever observe fully-populated contexts.
-//     Single-value batches (the dominant hook shape) skip the stripes
-//     entirely: one claim-CAS + release-store publish.
-//
-// v3 read path (see docs/CONTEXT_API.md "Read path"): checker-side reads are
-// lock-free. Every slot cell carries a seqlock-style epoch (even = stable,
-// odd = mid-write) over a fixed atomic-word payload, so `Get()` is an
-// optimistic copy + re-validate, and `SnapshotConsistent()` is an optimistic
-// whole-store scan validated against a flush-window counter pair — it takes
-// ZERO stripe mutexes unless a flush overlaps it repeatedly (bounded retries,
-// then the locked fallback). The name→slot KeyRegistry is an append-only
-// intern table probed lock-free, so `Get<T>(name)` and snapshot name
-// resolution never lock either.
-//
-// The watchdog driver refuses to run a checker whose context is not READY
-// (e.g. an in-memory kvs never flushes, so the flush checker never fires —
-// the paper's canonical spurious-report example).
+// One protocol guards the storage (docs/CONTEXT_API.md "Read path"): one
+// sequence word per context is both the writer claim and the readers'
+// seqlock. MarkReady claims it (even -> odd), stores the whole batch, and
+// releases it, so a batch is atomic by construction. Readers copy
+// optimistically and re-check the word; after bounded failed attempts a
+// reader claims it too, so snapshots stay live under saturating writers.
 #pragma once
 
 #include <array>
@@ -53,6 +30,7 @@
 #include <vector>
 
 #include "src/common/clock.h"
+#include "src/common/status.h"
 
 namespace wdg {
 
@@ -61,28 +39,19 @@ using CtxValue = std::variant<int64_t, double, bool, std::string>;
 std::string CtxValueToString(const CtxValue& value);
 
 // Declared value type of a context key. kAny keys carry whole CtxValues
-// (untyped: AutoWatchdog-generated checkers, dump/restore, the legacy shim).
+// (untyped: AutoWatchdog-generated checkers, dump/restore).
 enum class CtxType : uint8_t { kInt, kDouble, kBool, kString, kAny };
-
-const char* CtxTypeName(CtxType type);
 
 namespace internal {
 template <typename T>
-struct CtxTypeOf;
-template <>
-struct CtxTypeOf<int64_t> { static constexpr CtxType value = CtxType::kInt; };
-template <>
-struct CtxTypeOf<double> { static constexpr CtxType value = CtxType::kDouble; };
-template <>
-struct CtxTypeOf<bool> { static constexpr CtxType value = CtxType::kBool; };
-template <>
-struct CtxTypeOf<std::string> { static constexpr CtxType value = CtxType::kString; };
-template <>
-struct CtxTypeOf<CtxValue> { static constexpr CtxType value = CtxType::kAny; };
+constexpr CtxType kCtxTypeOf = std::is_same_v<T, int64_t>       ? CtxType::kInt
+                               : std::is_same_v<T, double>      ? CtxType::kDouble
+                               : std::is_same_v<T, bool>        ? CtxType::kBool
+                               : std::is_same_v<T, std::string> ? CtxType::kString
+                                                                : CtxType::kAny;
 
 // Typed view of a stored variant: exact-type match, except ints widen to
-// double (v1 GetDouble compat). Shared by CheckContext::Get and
-// CtxSnapshot::Get so point reads and snapshot lookups agree on semantics.
+// double. Shared by CheckContext::Get and CtxSnapshot::Get.
 template <typename T>
 std::optional<T> ExtractTyped(const CtxValue& value) {
   if constexpr (std::is_same_v<T, CtxValue>) {
@@ -102,69 +71,50 @@ std::optional<T> ExtractTyped(const CtxValue& value) {
 }  // namespace internal
 
 // Process-wide intern table: key name -> (slot index, declared type). Slots
-// are assigned once and never recycled; every CheckContext indexes its own
-// storage with the same slot numbers, so a key handle works on any context.
-//
-// Lookups (Find / NameOf / TypeOf / Names) are lock-free: entries are
-// append-only, published with release stores into a fixed open-addressed
-// bucket array and a by-slot array, and never moved or destroyed — the
-// RCU-style "immutable once published" discipline without any reclamation,
-// because nothing is ever retired. Only Intern's insert slow path takes the
-// writer mutex.
+// are assigned once and never recycled, so a key handle works on any
+// context. Lookups are lock-free: entries are append-only, published with
+// release stores, and never moved or destroyed. Only inserts lock.
 class KeyRegistry {
  public:
-  // Matches CheckContext's slot capacity (kSlotsPerChunk * kMaxChunks).
-  static constexpr uint32_t kMaxKeys = 2048;
+  static constexpr uint32_t kMaxKeys = 2048;  // contexts size storage by use
 
   static KeyRegistry& Instance();
-
   // Interns `name`, returning its stable slot. The first registration with a
-  // concrete type fixes the declared type; later kAny interns (the legacy
-  // shim) never widen or override it.
+  // concrete type fixes the declared type; kAny interns never override it.
+  // Aborts, naming the key, once all kMaxKeys slots are taken.
   uint32_t Intern(std::string_view name, CtxType type);
+  // For names from outside input (dump restore): nullopt when full.
+  std::optional<uint32_t> TryIntern(std::string_view name, CtxType type);
   // Slot for an already-interned name, or nullopt (lookups never register).
   std::optional<uint32_t> Find(std::string_view name) const;
+  // Valid forever: entries are never destroyed or moved.
   const std::string& NameOf(uint32_t slot) const;
   CtxType TypeOf(uint32_t slot) const;
-  uint32_t size() const;
-  // Name pointers for slots [0, limit). The pointers stay valid forever —
-  // entries are never destroyed or moved.
-  std::vector<const std::string*> Names(uint32_t limit) const;
+  uint32_t size() const { return count_.load(std::memory_order_acquire); }
 
  private:
   KeyRegistry() = default;
-
   struct Entry {
-    Entry(std::string n, CtxType t, uint32_t s)
-        : name(std::move(n)), type(t), slot(s) {}
+    Entry(std::string n, CtxType t, uint32_t s) : name(std::move(n)), type(t), slot(s) {}
     const std::string name;
     std::atomic<CtxType> type;
     const uint32_t slot;
   };
-
   static constexpr uint32_t kBuckets = 4096;  // 2x kMaxKeys, power of two
 
   // Linear-probe lookup; nullptr on miss. Safe concurrently with inserts:
   // probing stops at the first null bucket and inserts only fill nulls.
   Entry* Probe(std::string_view name) const;
-
   std::mutex write_mu_;  // serializes interns; lookups never take it
   std::array<std::atomic<Entry*>, kBuckets> buckets_{};
   std::array<std::atomic<Entry*>, kMaxKeys> by_slot_{};
   std::atomic<uint32_t> count_{0};
 };
 
-// The checker-side snapshot container: a flat array of (interned name,
-// value) entries in slot order. Key names are pointers into KeyRegistry
-// entries — which are never destroyed or moved — so building a snapshot
-// copies zero key strings and performs one allocation. (The std::map this
-// replaced cost more to build than the entire lock-free cell scan it was
-// fed from: node allocations plus a string copy per key.) Lookups are
-// linear scans: contexts hold tens of keys and checkers mostly iterate.
-//
-// Entries are pairs so map idioms survive: `find()` returns an Entry
-// pointer whose miss value is `end()`, `it->second` is the value, and
-// structured bindings iterate as [name_ptr, value].
+// The checker-side snapshot: (interned name, value) pairs in first-write
+// order. Names point into the KeyRegistry, so a snapshot copies no key
+// strings; lookups are linear scans (contexts hold tens of keys). Map idioms
+// survive: `find()` misses with `end()`, `it->second` is the value.
 class CtxSnapshot {
  public:
   using Entry = std::pair<const std::string*, CtxValue>;
@@ -174,8 +124,6 @@ class CtxSnapshot {
   bool empty() const { return entries_.empty(); }
   const_iterator begin() const { return entries_.data(); }
   const_iterator end() const { return entries_.data() + entries_.size(); }
-
-  // Entry pointer, or end() when the key is absent (map-idiom compatible).
   const_iterator find(std::string_view name) const;
   bool contains(std::string_view name) const { return find(name) != end(); }
   // Throws std::out_of_range when absent, like std::map::at.
@@ -184,39 +132,27 @@ class CtxSnapshot {
   template <typename T>
   std::optional<T> Get(std::string_view name) const {
     const const_iterator it = find(name);
-    if (it == end()) {
-      return std::nullopt;
-    }
-    return internal::ExtractTyped<T>(it->second);
+    return it == end() ? std::nullopt : internal::ExtractTyped<T>(it->second);
   }
-  // Deep copy into the owning-map shape used by serialization (Restore,
-  // failure-signature persistence). Off the hot path by design.
+  // Deep copy into an owning map (serialization; off the hot path).
   std::map<std::string, CtxValue> ToMap() const;
 
  private:
   friend class CheckContext;
-
   std::vector<Entry> entries_;
 };
 
-// A typed key handle: name -> slot resolution done once (`Of` interns into
-// the KeyRegistry), so hook-site writes are indexed stores. Keys are cheap
-// value types; the idiomatic pattern is a function-local static per key:
-//
+// A typed key handle, resolved once, idiomatically in a function-local static:
 //   static const auto kEntries = wdg::ContextKey<int64_t>::Of("entry_count");
-//   ctx.Set(kEntries, count);
-//
-// ContextKey<CtxValue> is the untyped ("any") variant used by generated
-// checkers whose IR carries no type information.
+// ContextKey<CtxValue> is the untyped ("any") variant generated checkers use.
 class ContextKeyBase {
  public:
   uint32_t slot() const { return slot_; }
   CtxType type() const { return type_; }
-  const std::string& name() const;
+  const std::string& name() const { return KeyRegistry::Instance().NameOf(slot_); }
 
  protected:
   ContextKeyBase(uint32_t slot, CtxType type) : slot_(slot), type_(type) {}
-
  private:
   uint32_t slot_;
   CtxType type_;
@@ -231,325 +167,139 @@ class ContextKey : public ContextKeyBase {
                 "ContextKey<T>: T must be int64_t, double, bool, std::string, "
                 "or CtxValue");
   using value_type = T;
-
   static ContextKey Of(std::string_view name) {
-    return ContextKey(
-        KeyRegistry::Instance().Intern(name, internal::CtxTypeOf<T>::value));
+    return ContextKey(KeyRegistry::Instance().Intern(name, internal::kCtxTypeOf<T>));
   }
 
  private:
-  explicit ContextKey(uint32_t slot)
-      : ContextKeyBase(slot, internal::CtxTypeOf<T>::value) {}
-};
-
-// Writes staged by one thread between hook entry and MarkReady(). Lives in
-// thread-local storage inside context.cc; hook sites never construct one
-// directly — CheckContext::Set(key, value) appends to the calling thread's
-// batch, and MarkReady() flushes it. Staging is just a vector push: no lock,
-// no map, no atomic.
-class HookBatch {
- public:
-  size_t size() const { return entries_.size(); }
-  bool empty() const { return entries_.empty(); }
-
- private:
-  friend class CheckContext;
-
-  // One staged write, already encoded in the cell wire format (tag/length
-  // header + payload words — see CheckContext::SlotTag). Encoding at Set()
-  // time keeps this POD: staging appends 64 flat bytes, MarkReady's flush
-  // stores the words straight into the slot cell without re-inspecting a
-  // variant, and clear() is a pointer reset instead of a destructor walk.
-  // Strings too long for the inline words park in `overflow_` and stage
-  // their index in words[0]; such batches take the striped flush path.
-  struct Staged {
-    uint32_t slot;
-    uint64_t header;
-    uint64_t words[6];  // == CheckContext::kPayloadWords (static_asserted)
-  };
-  std::vector<Staged> entries_;
-  std::vector<std::string> overflow_;
-  uint64_t owner_id_ = 0;  // CheckContext::id_ of the staging target
+  explicit ContextKey(uint32_t slot) : ContextKeyBase(slot, internal::kCtxTypeOf<T>) {}
 };
 
 class CheckContext {
  public:
   explicit CheckContext(std::string name);
-  ~CheckContext();
-
   CheckContext(const CheckContext&) = delete;
   CheckContext& operator=(const CheckContext&) = delete;
-
   const std::string& name() const { return name_; }
 
   // --- producer side (main-program hooks) ------------------------------
-  // Stages `value` in the calling thread's HookBatch; visible to checkers
-  // only after MarkReady() flushes the batch. `type_identity_t` keeps T
-  // deduced from the key alone, so Set(kFile, "/sst/9") works.
+  // Stages `value` in the calling thread's batch; visible only after
+  // MarkReady(). `type_identity_t` deduces T from the key alone, so
+  // Set(kFile, "/sst/9") works. The only string-keyed write is Restore().
   template <typename T>
   void Set(const ContextKey<T>& key, std::type_identity_t<T> value) {
-    StageWrite(key.slot(), CtxValue(std::move(value)));
-  }
-  void Set(const ContextKey<CtxValue>& key, CtxValue value) {
     StageWrite(key.slot(), std::move(value));
   }
-  // The v1 string-keyed Set(const std::string&, CtxValue) shim is gone:
-  // every producer interns a ContextKey<T> once instead of paying a registry
-  // lookup per write. The untyped slot path survives only inside Restore()
-  // for Dump/ParseDump round trips; wdg-lint's api.deprecated-accessor rule
-  // keeps the shim from reappearing in generated checkers.
-
-  // Publishes the calling thread's staged batch, then bumps the epoch and
-  // marks the context READY. Multi-value batches flush under every stripe
-  // they touch (held at once, so readers can never observe half a batch);
-  // a single inline-encodable value takes the wait-free fast path — one
-  // claim-CAS on its cell and one release-store publish, no mutex.
+  // Publishes the calling thread's staged batch inside one claim of the
+  // sequence word, bumps the epoch, and marks the context READY.
   void MarkReady(TimeNs now);
   // Drops READY (e.g. component shut down / reconfigured).
-  void Invalidate();
+  void Invalidate() { ready_.store(false, std::memory_order_release); }
 
   // --- consumer side (checkers) -----------------------------------------
   bool ready() const { return ready_.load(std::memory_order_acquire); }
   uint64_t epoch() const { return epoch_.load(std::memory_order_acquire); }
   TimeNs last_update() const { return last_update_.load(std::memory_order_acquire); }
-
-  // Per-key subscription epoch: how many times `slot` has been published into
-  // this context (monotone; 0 for a never-written key; a publish in flight
-  // already counts). Derived from the slot cell's seqlock sequence, so it is
-  // one lock-free atomic load — cheap enough for the driver to consult before
-  // every dispatch. Unlike epoch(), which advances on every MarkReady, this
-  // moves only when *this key* is rewritten, which is what lets a checker
-  // subscribed to a quiet key skip its run entirely (docs/DRIVER.md,
-  // "Subscription epochs").
+  // Per-key subscription epoch: how often `slot` was published here (0 if
+  // never; a publish in flight already counts). Three lock-free loads, cheap
+  // enough for the driver to consult before every dispatch
+  // (docs/DRIVER.md, "Subscription epochs").
   uint64_t KeyEpoch(uint32_t slot) const;
   template <typename T>
   uint64_t KeyEpoch(const ContextKey<T>& key) const { return KeyEpoch(key.slot()); }
-
-  // The one typed getter. Returns nullopt when the key was never written or
-  // holds a different type (ints widen to double, matching v1 GetDouble).
-  // Lock-free: an optimistic seqlock copy of the slot cell; falls back to
-  // the stripe lock only after bounded retries or for overflow strings.
+  // The one typed getter: nullopt when the key was never written or holds a
+  // different type (ints widen to double). Lock-free on the stable path.
   template <typename T>
   std::optional<T> Get(const ContextKey<T>& key) const {
     return Extract<T>(ReadSlot(key.slot()));
   }
   // Typed read through a name (cold paths: executors, invariant miners).
-  // The registry probe is lock-free too.
   template <typename T>
   std::optional<T> Get(std::string_view name) const {
     const auto slot = KeyRegistry::Instance().Find(name);
-    if (!slot.has_value()) {
-      return std::nullopt;
-    }
-    return Extract<T>(ReadSlot(*slot));
+    return slot.has_value() ? Extract<T>(ReadSlot(*slot)) : std::nullopt;
   }
-  // The single dump-oriented untyped accessor: the raw variant, any type.
-  std::optional<CtxValue> Get(const std::string& key) const;
+  // The dump-oriented untyped accessor: the raw variant, any type.
+  std::optional<CtxValue> Get(const std::string& key) const { return Get<CtxValue>(key); }
 
-  // Epoch-consistent full copy for failure signatures ("failure-inducing
-  // context", §5.2). Optimistic: scans every slot cell without locks and
-  // validates that no batch flush overlapped the scan (so the values can
-  // never mix two concurrently-flushed batches); after kSnapshotRetries
-  // overlapped attempts it falls back to holding every stripe.
+  // The values, epoch and last_update of one published state, never a mix of
+  // two batches (the failure-inducing context of §5.2). Costs in proportion
+  // to the keys the context holds.
   struct ConsistentSnapshot {
     uint64_t epoch = 0;
     TimeNs last_update = 0;
     CtxSnapshot values;
   };
   ConsistentSnapshot SnapshotConsistent() const;
-  CtxSnapshot Snapshot() const;
+  CtxSnapshot Snapshot() const { return SnapshotConsistent().values; }
   std::string Dump() const;
 
-  // Parses a Dump() string back into values. Understands both the v2 format
-  // (values carry a type tag, "entries=i:16") and the legacy untagged format
-  // (ints/doubles/bools recovered by shape — which mis-typed strings that
-  // look numeric; the tag exists so "1234" survives the round trip). The
-  // §5.2 failure-reproduction path.
+  // Parses a Dump() string: tagged ("entries=i:16") or legacy untagged.
   static std::map<std::string, CtxValue> ParseDump(const std::string& dump);
-  // Bulk-install parsed values and mark ready.
-  void Restore(const std::map<std::string, CtxValue>& values, TimeNs now);
-
-  // Entries this thread has staged for this context but not yet flushed.
+  // Installs parsed values and marks ready. RESOURCE_EXHAUSTED, with nothing
+  // written, when a new key name does not fit in the key registry.
+  Status Restore(const std::map<std::string, CtxValue>& values, TimeNs now);
+  // Entries this thread has staged for this context but not yet published.
   size_t pending_batch_size() const;
 
-  // --- read-path observability ------------------------------------------
-  // Counters for the optimistic machinery (all monotone). Tests assert the
-  // bounded-retry fallback actually triggers under flush churn; benches
-  // report how often snapshots stayed lock-free.
-  struct ReadStats {
-    int64_t snapshot_optimistic = 0;  // snapshots served without stripe locks
-    int64_t snapshot_retries = 0;     // optimistic scans restarted by a flush
-    int64_t snapshot_fallbacks = 0;   // snapshots that took the locked path
-    int64_t get_fallbacks = 0;        // point reads that took a stripe lock
-    int64_t fastpath_publishes = 0;   // MarkReady single-value fast publishes
-  };
-  ReadStats read_stats() const;
-
  private:
-  static constexpr uint32_t kSlotsPerChunk = 32;
-  static constexpr uint32_t kMaxChunks = 64;  // 2048 slots process-wide
-  static constexpr uint32_t kStripes = 16;
-  // Payload capacity of a cell's atomic words: strings up to this many bytes
-  // are stored inline (seqlock-copyable); longer ones live in the
-  // stripe-guarded `overflow` member and force readers onto the locked path.
-  static constexpr uint32_t kInlineBytes = 48;
-  static constexpr uint32_t kPayloadWords = kInlineBytes / 8;
-  // Staged entries are encoded in the cell wire format at Set() time, so
-  // their payload capacity must match the cell's exactly.
-  static_assert(sizeof(HookBatch::Staged::words) == kPayloadWords * sizeof(uint64_t),
-                "HookBatch::Staged must hold a full inline payload");
-  // Bounded optimism: per-cell re-reads before a point read takes the stripe
-  // lock, and whole-scan restarts before a snapshot takes every stripe.
-  static constexpr int kCellRetries = 8;
-  static constexpr int kSnapshotRetries = 4;
+  enum class Tag : uint8_t { kEmpty = 0, kInt, kDouble, kBool, kString };
 
-  enum class SlotTag : uint8_t {
-    kEmpty = 0,
-    kInt,
-    kDouble,
-    kBool,
-    kInlineStr,    // length in header bits 8.., bytes in words[]
-    kOverflowStr,  // value lives in SlotCell::overflow (stripe-guarded)
+  // One key's value, all atomics so optimistic readers copy it with plain
+  // loads. `header` is the Tag plus, for strings, the length << 8. Scalars
+  // live in `word`; string bytes in `bytes`, after its capacity in words.
+  struct Cell {
+    std::atomic<uint32_t> slot{0};
+    std::atomic<uint64_t> publishes{0};  // KeyEpoch
+    std::atomic<uint64_t> header{0};
+    std::atomic<uint64_t> word{0};
+    std::atomic<std::atomic<uint64_t>*> bytes{nullptr};
   };
-
-  // One slot. `seq` is the per-slot seqlock epoch: even = stable, odd = a
-  // writer is mid-publish. The payload is a tag/length header plus
-  // kPayloadWords atomic words, so readers copy it with plain atomic loads
-  // (TSan-clean, no torn reads possible). Writers — whether holding the
-  // stripe mutex or on the single-value fast path — claim the cell by
-  // CAS-ing seq even→odd, store the payload, then release-store seq back to
-  // even. `overflow` (strings > kInlineBytes) is written only under the
-  // stripe mutex, and read either under that mutex or never.
-  struct SlotCell {
-    std::atomic<uint32_t> seq{0};
-    std::atomic<uint64_t> header{0};  // SlotTag | (inline length << 8)
-    std::array<std::atomic<uint64_t>, kPayloadWords> words{};
-    std::string overflow;
+  // `index[slot]` is the slot's cell + 1 (0: never written here), set once so
+  // publishes leave its cache line alone; `cells` are in first-write order.
+  // Sizes are fixed at allocation: a full table is replaced by a bigger copy.
+  struct Table {
+    Table(size_t slots, size_t cell_count) : index(slots), cells(cell_count) {}
+    std::vector<std::atomic<uint32_t>> index;
+    std::vector<Cell> cells;
   };
-  struct Chunk {
-    std::array<SlotCell, kSlotsPerChunk> cells;
-    // Monotone population bitmask: bit i set once cells[i] was ever written
-    // (values are never deleted). Snapshot scans iterate set bits instead of
-    // probing all kSlotsPerChunk cells; the release fetch_or pairs with the
-    // scan's acquire load so a visible bit implies a visible publish. Purely
-    // an accelerator — TryReadCell still classifies unset-but-claimed cells
-    // correctly as empty/unstable.
-    std::atomic<uint32_t> populated{0};
-  };
-
-  enum class CellRead { kOk, kEmpty, kUnstable, kOverflow };
-
+  // Optimistic read attempts before a reader claims the sequence word.
+  static constexpr int kOptimisticReads = 8;
   template <typename T>
-  static std::optional<T> Extract(std::optional<CtxValue> value) {
-    if (!value.has_value()) {
-      return std::nullopt;
-    }
-    return internal::ExtractTyped<T>(*value);
+  static std::optional<T> Extract(const std::optional<CtxValue>& value) {
+    return value.has_value() ? internal::ExtractTyped<T>(*value) : std::nullopt;
   }
 
-  // Inline payload codec. Encode returns false when the value cannot be
-  // represented in the atomic words (a string longer than kInlineBytes).
-  static bool EncodeInline(const CtxValue& value, uint64_t* header,
-                           uint64_t words[kPayloadWords]);
-  // Words actually carrying payload for `header`: scalars use one, inline
-  // strings ceil(len/8). Writers store and readers load only these —
-  // trailing cell words keep stale bits that no decode ever reads.
-  static uint32_t InlineWordCount(uint64_t header);
-  // Decodes in place (strings construct directly inside the caller's
-  // variant — the snapshot scan decodes straight into its result entry).
-  static void DecodeInlineInto(uint64_t header,
-                               const uint64_t words[kPayloadWords],
-                               CtxValue* out);
-
-  // Seqlock writer protocol. ClaimCell spins (the competing writer's window
-  // is a handful of stores) and returns the odd seq; the caller stores the
-  // payload and publishes with PublishCell.
-  static uint32_t ClaimCell(SlotCell& cell);
-  static void PublishCell(SlotCell& cell, uint32_t odd_seq);
-  // One optimistic read attempt: copies the atomic payload and re-validates
-  // the cell seq around it.
-  static CellRead TryReadCell(const SlotCell& cell, CtxValue* out);
-
-  // The calling thread's batch, claimed for this context (entries staged for
-  // another context and never flushed are abandoned, not leaked into it).
-  HookBatch& OwnedBatch();
-  // Staging overloads: each encodes into the batch's POD wire format. The
-  // typed Set<T> resolves to the exact-type overload, so scalar staging is a
-  // header+word append with no CtxValue variant anywhere on the path.
-  void StageWrite(uint32_t slot, int64_t value);
-  void StageWrite(uint32_t slot, double value);
-  void StageWrite(uint32_t slot, bool value);
-  void StageWrite(uint32_t slot, std::string value);
+  // The calling thread's staged writes (defined in context.cc).
+  struct Batch;
+  static Batch& ThreadBatch();
   void StageWrite(uint32_t slot, CtxValue value);
-  // Writes one slot immediately under its stripe (legacy shim, Restore).
-  void WriteSlot(uint32_t slot, CtxValue value);
-  // Stores `value` into `cell`; the cell's stripe mutex must be held (the
-  // only path allowed to touch `overflow`).
-  void StoreCellLocked(SlotCell& cell, CtxValue value);
-  // Single-value fast path: one claim-CAS + release publish, no stripe. Fails
-  // (→ locked flush) when the value needs overflow storage or the claim CAS
-  // loses to a concurrent writer.
-  bool TryPublishSingle(const HookBatch::Staged& entry);
-  // Records `slot` in its chunk's population bitmask after a publish. The
-  // steady-state overwrite pays one relaxed load (bit already set).
-  void MarkPopulated(uint32_t slot);
-  // Applies the batch and clears it. All-inline batches flush lock-free:
-  // every cell is claimed (seq even→odd, ascending slot order so two
-  // overlapping batches serialize instead of deadlocking or interleaving),
-  // then stored and published — the per-cell seqlocks ARE the locks, and the
-  // claim-all-before-publish-any shape is what lets a snapshot's seq
-  // fingerprint prove batch atomicity without the flush touching any shared
-  // counter. Batches with overflow strings (or absurdly many entries) take
-  // the striped path.
-  void FlushBatch(HookBatch& batch);
-  // The lock-free flavor; returns false when the batch needs stripes.
-  bool FlushBatchLockFree(HookBatch& batch);
-  SlotCell* CellFor(uint32_t slot);                // allocates the chunk
-  const SlotCell* CellIfPresent(uint32_t slot) const;
+  // Spins until it moves the sequence word from even to odd; returns the odd
+  // value. A writer releases with odd + 1, a claiming reader with odd - 1.
+  uint64_t Claim() const;
+  // Runs `copy` (false: it saw an inconsistent view) until an unchanged even
+  // word validates a run; after kOptimisticReads failures, under a claim.
+  template <typename F>
+  void ReadConsistent(F&& copy) const;
+  // Claim held: the cell for `slot`, created (growing the table) on first
+  // write, with the slot's publish count bumped.
+  Cell& Touch(uint32_t slot);
+  // Decodes one cell; false when it holds no value.
+  static bool ReadCell(const Cell& cell, CtxValue* out);
   std::optional<CtxValue> ReadSlot(uint32_t slot) const;
-  std::optional<CtxValue> ReadSlotLocked(uint32_t slot, const SlotCell& cell) const;
-  // Reads one cell to a stable value; the cell's stripe must be held. The
-  // remaining racers are single-value fast publishes and lock-free batch
-  // flushes (neither takes stripes) — their windows are a few stores wide,
-  // so the wait converges; the stripe still excludes overflow rewrites.
-  bool ReadCellStripeHeld(const SlotCell& cell, CtxValue* out) const;
-  ConsistentSnapshot SnapshotLocked() const;
-
   const std::string name_;
   const uint64_t id_;  // process-unique, guards against stale thread batches
-  mutable std::array<std::mutex, kStripes> stripes_;
-  std::array<std::atomic<Chunk*>, kMaxChunks> chunks_{};
-  // One past the highest chunk index ever allocated: snapshot scans stop
-  // here instead of walking all kMaxChunks pointers (contexts use a handful
-  // of slots; the registry's slot space is process-global).
-  std::atomic<uint32_t> chunk_limit_{0};
-  std::atomic<bool> ready_{false};
+  // Every table and string buffer ever allocated: a reader inside a failing
+  // attempt never touches freed memory. Touched only under a claim.
+  std::vector<std::unique_ptr<Table>> tables_;
+  std::vector<std::unique_ptr<std::atomic<uint64_t>[]>> buffers_;
+  // What a publish writes shares one cache line.
+  alignas(64) mutable std::atomic<uint64_t> seq_{0};
+  std::atomic<Table*> table_{nullptr};
   std::atomic<uint64_t> epoch_{0};
   std::atomic<TimeNs> last_update_{0};
-  // Flush-window counters for STRIPED flushes only, which publish their
-  // cells one at a time: `begun` moves before the first cell store, `done`
-  // after the last, both inside the stripe-held section, so an optimistic
-  // snapshot can prove no striped flush overlapped its scan (begun stable
-  // across the scan and equal to done at the start) and the locked fallback,
-  // holding every stripe, knows none is in flight. Lock-free batch flushes,
-  // fast-path publishes, and WriteSlot don't participate: the first claims
-  // all cells before publishing any and the latter two touch one cell, so
-  // the snapshot seq-fingerprint re-check already detects them.
-  std::atomic<uint64_t> flushes_begun_{0};
-  std::atomic<uint64_t> flushes_done_{0};
-  // Snapshot gate: while a locked-fallback snapshot is pending, new flushes
-  // yield at entry instead of re-grabbing stripes. Futexes barge — a hot
-  // flusher re-acquires a just-released stripe before the woken snapshot
-  // thread runs — so without the gate a saturating writer fleet can starve
-  // the fallback for whole scheduler rounds (worst on one core). In-flight
-  // flushes are unaffected (they already hold their stripes), and the
-  // single-value fast path ignores the gate entirely to stay wait-free.
-  mutable std::atomic<int> snapshot_waiters_{0};
-  mutable std::atomic<int64_t> snapshot_optimistic_{0};
-  mutable std::atomic<int64_t> snapshot_retries_{0};
-  mutable std::atomic<int64_t> snapshot_fallbacks_{0};
-  mutable std::atomic<int64_t> get_fallbacks_{0};
-  std::atomic<int64_t> fastpath_publishes_{0};
+  std::atomic<uint32_t> size_{0};  // cells in use
+  std::atomic<bool> ready_{false};
 };
 
 // A single instrumentation point in the main program. Firing an unarmed hook
@@ -557,10 +307,8 @@ class CheckContext {
 class HookSite {
  public:
   explicit HookSite(std::string name) : name_(std::move(name)) {}
-
   const std::string& name() const { return name_; }
   bool armed() const { return ctx_.load(std::memory_order_relaxed) != nullptr; }
-
   // `fill(ctx)` runs only when armed. The callback should Set() the values
   // the checker's reduced ops need and then MarkReady.
   template <typename F>
@@ -590,12 +338,12 @@ class HookSet {
   HookSite* Site(const std::string& name);
   // Creates (or returns) the named context.
   CheckContext* Context(const std::string& name);
-
   // Arms `site` to populate `context` (both created on demand).
-  void Arm(const std::string& site, const std::string& context);
-  void Disarm(const std::string& site);
+  void Arm(const std::string& site, const std::string& context) {
+    Site(site)->Arm(Context(context));
+  }
+  void Disarm(const std::string& site) { Site(site)->Disarm(); }
   void DisarmAll();
-
   std::vector<std::string> SiteNames() const;
   std::vector<std::string> ContextNames() const;
   int ArmedCount() const;

@@ -9,6 +9,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -93,7 +95,7 @@ TEST(ContextConcurrencyTest, SnapshotNeverObservesTornBatch) {
     });
   }
 
-  // Typed point-reads race the flushes too (stripe-level read path).
+  // Typed point reads race the publishes too.
   std::thread point_reader([&] {
     while (!stop.load(std::memory_order_relaxed)) {
       for (int p = 0; p < kProducers; ++p) {
@@ -127,13 +129,86 @@ TEST(ContextConcurrencyTest, SnapshotNeverObservesTornBatch) {
   }
 }
 
-// Seqlock torture with every writer shape at once: multi-key flush batches,
-// single-value fast-path publishes, and a 2-key batch whose string value
-// overflows the inline payload (routing readers through the per-slot locked
-// path). Each writer embeds the same sequence number in every value of a
-// batch — the overflow writer embeds it in both the string and a sibling
-// int — so any torn or mixed-epoch observation is detectable. Run under the
-// TSan CI leg: all optimistic reads are atomic-word loads by construction.
+// Regression: a snapshot must not see part of a batch's *first* publish
+// into a fresh context. Storage once grew in lazily allocated 32-slot
+// chunks, and a reader that sized its scan before a publish allocated the
+// second chunk kept that size across retries, so it saw only the keys in
+// the first chunk. The batch keys below sit at registry slots 30..35 mod 32,
+// straddling such a boundary, and each round publishes into a fresh context
+// that the readers are already snapshotting.
+TEST(ContextConcurrencyTest, FirstPublishAcrossChunkBoundaryIsWhole) {
+  static int invocation = 0;  // fresh key names under --gtest_repeat
+  const int run = invocation++;
+  KeyRegistry& registry = KeyRegistry::Instance();
+  for (int filler = 0; registry.size() % 32 != 30; ++filler) {
+    (void)ContextKey<int64_t>::Of(StrFormat("straddle.r%d.fill%d", run, filler));
+  }
+  std::vector<ContextKey<int64_t>> keys;
+  std::vector<std::string> names;
+  for (int k = 0; k < kKeysPerBatch; ++k) {
+    names.push_back(StrFormat("straddle.r%d.k%d", run, k));
+    keys.push_back(ContextKey<int64_t>::Of(names.back()));
+  }
+  ASSERT_EQ(keys.front().slot() % 32, 30u);
+
+  constexpr int kRounds = 1000;
+  constexpr int kReaders = 3;
+  // Contexts outlive the readers: a reader may still hold last round's.
+  std::vector<std::unique_ptr<CheckContext>> contexts;
+  std::atomic<CheckContext*> current{nullptr};
+  std::atomic<bool> stop{false};
+  std::atomic<int64_t> snapshots{0};
+  std::atomic<int64_t> partial{0};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < kReaders; ++r) {
+    readers.emplace_back([&] {
+      while (!stop.load(std::memory_order_relaxed)) {
+        CheckContext* ctx = current.load(std::memory_order_acquire);
+        if (ctx == nullptr) {
+          continue;
+        }
+        const auto snapshot = ctx->SnapshotConsistent();
+        int found = 0;
+        for (const std::string& name : names) {
+          found += snapshot.values.contains(name) ? 1 : 0;
+        }
+        if (found != 0 && found != kKeysPerBatch) {
+          partial.fetch_add(1, std::memory_order_relaxed);
+        }
+        snapshots.fetch_add(1, std::memory_order_relaxed);
+      }
+    });
+  }
+  auto await_snapshots = [&](int64_t count) {
+    const int64_t target = snapshots.load() + count;
+    while (snapshots.load() < target) {
+      std::this_thread::yield();
+    }
+  };
+  for (int round = 0; round < kRounds; ++round) {
+    contexts.push_back(std::make_unique<CheckContext>("straddle"));
+    current.store(contexts.back().get(), std::memory_order_release);
+    await_snapshots(2 * kReaders);  // readers are spinning on the fresh one
+    for (const auto& key : keys) {
+      contexts.back()->Set(key, round);
+    }
+    contexts.back()->MarkReady(round);
+    await_snapshots(2 * kReaders);
+  }
+  stop = true;
+  for (auto& t : readers) {
+    t.join();
+  }
+  EXPECT_EQ(partial.load(), 0) << "snapshots holding part of a first publish";
+}
+
+// Seqlock torture with every writer shape at once: multi-key batches,
+// single-value publishes, and a 2-key batch whose string value is longer
+// than a cell word run (64+ bytes). Each writer embeds the same sequence
+// number in every value of a batch — the long-string writer embeds it in
+// both the string and a sibling int — so any torn or mixed-epoch observation
+// is detectable. Run under the TSan CI leg: all optimistic reads are
+// atomic-word loads by construction.
 TEST(ContextConcurrencyTest, SeqlockTortureMixedWriterShapes) {
   CheckContext ctx("torture");
 
@@ -146,7 +221,7 @@ TEST(ContextConcurrencyTest, SeqlockTortureMixedWriterShapes) {
 
   std::atomic<bool> stop{false};
 
-  // Writer 1: 3-key inline batches (stripe-locked flush path).
+  // Writer 1: 3-key batches.
   std::thread batch_writer([&] {
     int64_t seq = 0;
     while (!stop.load(std::memory_order_relaxed)) {
@@ -158,7 +233,7 @@ TEST(ContextConcurrencyTest, SeqlockTortureMixedWriterShapes) {
     }
   });
 
-  // Writer 2: single-value batches (wait-free fast path).
+  // Writer 2: single-value batches.
   std::thread fast_writer([&] {
     int64_t seq = 0;
     while (!stop.load(std::memory_order_relaxed)) {
@@ -168,8 +243,8 @@ TEST(ContextConcurrencyTest, SeqlockTortureMixedWriterShapes) {
     }
   });
 
-  // Writer 3: 2-key batch where the string (> 48 bytes) lands in overflow
-  // storage; the trailing digits encode the same seq as the sibling int.
+  // Writer 3: 2-key batch with a 64+ byte string whose trailing digits
+  // encode the same seq as the sibling int.
   std::thread overflow_writer([&] {
     const std::string pad(64, 'p');
     int64_t seq = 0;
@@ -202,8 +277,8 @@ TEST(ContextConcurrencyTest, SeqlockTortureMixedWriterShapes) {
                     StrFormat("%lld", static_cast<long long>(std::get<int64_t>(
                                           snapshot.values.at("tt.big.seq")))));
         }
-        // Fast-path point reads: decoded value is never torn and, from one
-        // thread, never goes backwards (single writer increments it).
+        // Point reads: the decoded value is never torn and, from one thread,
+        // never goes backwards (a single writer increments it).
         const auto fast = ctx.Get(kFast);
         if (fast.has_value()) {
           ASSERT_GE(*fast, last_fast);
@@ -224,17 +299,13 @@ TEST(ContextConcurrencyTest, SeqlockTortureMixedWriterShapes) {
   }
 
   EXPECT_GT(snapshots.load(), 50);
-  const auto stats = ctx.read_stats();
-  EXPECT_GT(stats.fastpath_publishes, 0);
-  // Fallbacks may or may not trigger under scheduler noise; optimistic
-  // successes plus fallbacks must account for every completed snapshot.
-  EXPECT_EQ(stats.snapshot_optimistic + stats.snapshot_fallbacks,
-            snapshots.load());
+  EXPECT_GT(ctx.Get(kFast).value_or(0), 0);
 }
 
-// The bounded-retry fallback: hold a flush window open (flushes_begun_ !=
-// flushes_done_ for the whole call) and SnapshotConsistent must burn its
-// retries, take the locked path, and still return a coherent result.
+// Liveness under saturating writers: four threads republish a two-key batch
+// back to back, so nearly every optimistic snapshot attempt collides with a
+// write window. After its bounded attempts a reader claims the sequence word
+// like a writer, so every snapshot still completes, and none is torn.
 TEST(ContextConcurrencyTest, SnapshotFallsBackUnderPersistentFlushChurn) {
   CheckContext ctx("fallback");
   static const auto kA = ContextKey<int64_t>::Of("fb.a");
@@ -243,9 +314,8 @@ TEST(ContextConcurrencyTest, SnapshotFallsBackUnderPersistentFlushChurn) {
   ctx.Set(kB, 1);
   ctx.MarkReady(1);
 
-  // Churn writers: two-key batches as fast as they can flush, so snapshot
-  // scans keep colliding with open flush windows.
   std::atomic<bool> stop{false};
+  std::atomic<int64_t> publishes{0};
   std::vector<std::thread> writers;
   for (int w = 0; w < 4; ++w) {
     writers.emplace_back([&] {
@@ -255,30 +325,30 @@ TEST(ContextConcurrencyTest, SnapshotFallsBackUnderPersistentFlushChurn) {
         ctx.Set(kB, seq);
         ctx.MarkReady(seq);
         ++seq;
+        publishes.fetch_add(1, std::memory_order_relaxed);
       }
     });
   }
 
+  // Snapshots are taken only while every writer is running: the loop ends
+  // at the deadline, before `stop` is set.
   int64_t completed = 0;
+  const int64_t publishes_before = publishes.load();
   const TimeNs deadline = RealClock::Instance().NowNs() + Ms(300);
   while (RealClock::Instance().NowNs() < deadline) {
     const auto snapshot = ctx.SnapshotConsistent();
     ASSERT_EQ(std::get<int64_t>(snapshot.values.at("fb.a")),
               std::get<int64_t>(snapshot.values.at("fb.b")));
     ++completed;
-    if (ctx.read_stats().snapshot_fallbacks > 0 && completed > 100) {
-      break;  // exercised both the retry burn and the locked path
-    }
   }
+  const int64_t publishes_during = publishes.load() - publishes_before;
   stop = true;
   for (auto& t : writers) {
     t.join();
   }
-  const auto stats = ctx.read_stats();
-  EXPECT_GT(completed, 0);
-  EXPECT_GT(stats.snapshot_retries + stats.snapshot_optimistic, 0);
-  // Every snapshot completed one way or the other — none hung, none torn.
-  EXPECT_EQ(stats.snapshot_optimistic + stats.snapshot_fallbacks, completed);
+  // Snapshots kept completing, and the writers kept publishing meanwhile.
+  EXPECT_GT(completed, 20);
+  EXPECT_GT(publishes_during, 0);
 }
 
 TEST(ContextConcurrencyTest, EpochCountsFlushesExactly) {

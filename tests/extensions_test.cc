@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdlib>
 
 #include "src/autowd/autowatchdog.h"
 #include "src/autowd/replay.h"
@@ -211,7 +212,7 @@ TEST(ParseDumpTest, ToleratesEmptyAndMalformed) {
 
 TEST(ParseDumpTest, RestorePopulatesAndMarksReady) {
   CheckContext ctx("c");
-  ctx.Restore(CheckContext::ParseDump("{file=/sst/9, entries=16}"), 123);
+  ASSERT_TRUE(ctx.Restore(CheckContext::ParseDump("{file=/sst/9, entries=16}"), 123).ok());
   EXPECT_TRUE(ctx.ready());
   EXPECT_EQ(*ctx.Get<std::string>("file"), "/sst/9");
   EXPECT_EQ(*ctx.Get<int64_t>("entries"), 16);
@@ -289,6 +290,34 @@ TEST(ReplayTest, MissingOpReportsNotFound) {
   const awd::ReplayResult result = awd::ReplayFailure(sig, empty, registry);
   EXPECT_FALSE(result.op_found);
   EXPECT_FALSE(result.reproduced);
+}
+
+// A dump whose key names no longer fit in the (process-global) key registry
+// cannot be restored: the replay reports the restore error in op_status
+// instead of running the op on a partial context. Runs in a child process.
+bool ReplayWithFullRegistryFails() {
+  for (int i = 0; KeyRegistry::Instance().size() < KeyRegistry::kMaxKeys; ++i) {
+    (void)ContextKey<int64_t>::Of(StrFormat("fill.%d", i));
+  }
+  awd::ReducedOp op;
+  op.site = "mystery.op";
+  op.origin_function = "Fn";
+  op.origin_instr_id = 9;
+  awd::ReducedProgram program;
+  program.functions.emplace_back().ops.push_back(op);
+  awd::OpExecutorRegistry registry;
+  FailureSignature sig;
+  sig.location = {"c", "Fn", "mystery.op", 9};
+  sig.context_dump = "{never.interned=i:1}";
+  const awd::ReplayResult result = awd::ReplayFailure(sig, program, registry);
+  return result.op_found && result.op_status.code() == StatusCode::kResourceExhausted &&
+         !result.reproduced;
+}
+
+TEST(ReplayDeathTest, FullKeyRegistryFailsTheReplay) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  EXPECT_EXIT(std::exit(ReplayWithFullRegistryFails() ? 0 : 1),
+              ::testing::ExitedWithCode(0), "");
 }
 
 // ----------------------------------------------------------- cheap recovery

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdlib>
 #include <stdexcept>
 
 #include "src/common/clock.h"
@@ -67,6 +68,23 @@ TEST(CheckContextTest, TypedWritesBatchUntilMarkReady) {
   EXPECT_EQ(ctx.pending_batch_size(), 0u);
   EXPECT_EQ(*ctx.Get(kFile), "/sst/9");
   EXPECT_EQ(*ctx.Get(kCount), 16);
+  // Every batch shape publishes the same way: one value, two values, and a
+  // single long string each advance the epoch once.
+  ctx.Set(kCount, 1);
+  ctx.MarkReady(56);
+  EXPECT_EQ(*ctx.Get(kCount), 1);
+  ctx.Set(kCount, 2);
+  ctx.Set(kFile, "/sst/10");
+  ctx.MarkReady(57);
+  ctx.Set(kFile, std::string(100, 'z'));
+  ctx.MarkReady(58);
+  EXPECT_EQ(*ctx.Get(kCount), 2);
+  EXPECT_EQ(*ctx.Get(kFile), std::string(100, 'z'));
+  EXPECT_EQ(ctx.epoch(), 4u);
+  const auto snapshot = ctx.SnapshotConsistent();
+  EXPECT_EQ(snapshot.epoch, 4u);
+  EXPECT_EQ(snapshot.values.size(), 2u);
+  EXPECT_EQ(ctx.Snapshot().size(), 2u);
 }
 
 TEST(CheckContextTest, KeyRegistryInternsOnce) {
@@ -82,6 +100,43 @@ TEST(CheckContextTest, KeyRegistryInternsOnce) {
   const auto typed = ContextKey<int64_t>::Of("reg.untyped_first");
   EXPECT_EQ(typed.slot(), untyped.slot());
   EXPECT_EQ(KeyRegistry::Instance().TypeOf(typed.slot()), CtxType::kInt);
+}
+
+// The key registry is process-global, so these fill it in a child process.
+// A full registry fails loudly in every build type: ContextKey::Of aborts
+// naming the key, and Restore, whose key names come from on-disk dumps,
+// returns an error and writes nothing.
+void FillKeyRegistry() {
+  for (int i = 0; KeyRegistry::Instance().size() < KeyRegistry::kMaxKeys; ++i) {
+    (void)ContextKey<int64_t>::Of(StrFormat("fill.%d", i));
+  }
+}
+
+TEST(KeyRegistryDeathTest, InternPastCapacityAbortsNamingTheKey) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  EXPECT_DEATH(
+      {
+        FillKeyRegistry();
+        (void)ContextKey<int64_t>::Of("one.too.many");
+      },
+      "registry full.*one\\.too\\.many");
+}
+
+TEST(KeyRegistryDeathTest, RestorePastCapacityFailsWithoutWriting) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  EXPECT_EXIT(
+      {
+        const auto known = ContextKey<int64_t>::Of("a.known.key");
+        FillKeyRegistry();
+        CheckContext ctx("c");
+        const Status status = ctx.Restore(
+            {{"a.known.key", CtxValue(int64_t{1})}, {"b.new.key", CtxValue(int64_t{2})}}, 1);
+        const bool failed_clean = status.code() == StatusCode::kResourceExhausted &&
+                                  !ctx.ready() && ctx.epoch() == 0 &&
+                                  !ctx.Get(known).has_value() && ctx.Snapshot().empty();
+        std::exit(failed_clean ? 0 : 1);
+      },
+      ::testing::ExitedWithCode(0), "");
 }
 
 // The string-keyed *read* side — Get<T>(name) for checkers that only know
@@ -108,9 +163,8 @@ TEST(CheckContextTest, StringNameReadsOverTypedWrites) {
   EXPECT_FALSE(ctx.Get("missing").has_value());
 }
 
-// Strings longer than the 48-byte inline payload land in the stripe-guarded
-// overflow member; reads route through the locked per-slot path and must
-// round-trip exactly, including back-to-back overwrites in both directions.
+// Strings of any length round-trip exactly, including overwrites that grow
+// and shrink the value (a longer string moves the slot to a bigger buffer).
 TEST(CheckContextTest, OverflowStringsRoundTrip) {
   static const auto kBig = ContextKey<std::string>::Of("ovf.big");
   const std::string long_value(200, 'x');
@@ -125,45 +179,6 @@ TEST(CheckContextTest, OverflowStringsRoundTrip) {
   ctx.Set(kBig, std::string(64, 'y'));  // inline -> overflow again
   ctx.MarkReady(3);
   EXPECT_EQ(*ctx.Get(kBig), std::string(64, 'y'));
-}
-
-// Single-value batches publish through the wait-free fast path (one CAS +
-// one release store); multi-value batches and overflow strings do not.
-TEST(CheckContextTest, SingleValueFastPathCounted) {
-  static const auto kOne = ContextKey<int64_t>::Of("fp.one");
-  static const auto kTwo = ContextKey<int64_t>::Of("fp.two");
-  static const auto kBig = ContextKey<std::string>::Of("fp.big");
-  CheckContext ctx("c");
-  ctx.Set(kOne, 1);
-  ctx.MarkReady(1);
-  EXPECT_EQ(ctx.read_stats().fastpath_publishes, 1);
-  ctx.Set(kOne, 2);
-  ctx.Set(kTwo, 3);
-  ctx.MarkReady(2);  // two-entry batch -> stripe-locked flush
-  EXPECT_EQ(ctx.read_stats().fastpath_publishes, 1);
-  ctx.Set(kBig, std::string(100, 'z'));
-  ctx.MarkReady(3);  // single entry but overflow -> stripe-locked flush
-  EXPECT_EQ(ctx.read_stats().fastpath_publishes, 1);
-  EXPECT_EQ(*ctx.Get(kOne), 2);
-  EXPECT_EQ(*ctx.Get(kTwo), 3);
-  EXPECT_EQ(ctx.epoch(), 3u);
-}
-
-// Uncontended reads never touch a stripe mutex: the optimistic counters
-// advance and the fallback counters stay at zero.
-TEST(CheckContextTest, ReadStatsTrackOptimisticPath) {
-  static const auto kK = ContextKey<int64_t>::Of("stats.k");
-  CheckContext ctx("c");
-  ctx.Set(kK, 7);
-  ctx.MarkReady(1);
-  (void)ctx.Get(kK);
-  (void)ctx.SnapshotConsistent();
-  (void)ctx.Snapshot();
-  const auto stats = ctx.read_stats();
-  EXPECT_EQ(stats.snapshot_optimistic, 2);
-  EXPECT_EQ(stats.snapshot_retries, 0);
-  EXPECT_EQ(stats.snapshot_fallbacks, 0);
-  EXPECT_EQ(stats.get_fallbacks, 0);
 }
 
 TEST(CheckContextTest, SnapshotIsReplicatedCopy) {

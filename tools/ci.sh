@@ -22,8 +22,8 @@ if tracked_build=$(git ls-files -- 'build/*' 'build-*/*' 2>/dev/null) \
 fi
 
 run_leg() {
-  local build_dir=$1 sanitize=$2
-  shift 2
+  local build_dir=$1 sanitize=$2 regex=$3
+  shift 3
   local cmake_args=(-B "${build_dir}" -S .)
   if [[ -n "${sanitize}" ]]; then
     cmake_args+=("-DWDG_SANITIZE=${sanitize}")
@@ -36,10 +36,14 @@ run_leg() {
   # until-pass:2 absorbs timing flakes in the concurrency-stress and campaign
   # suites under sanitizer slowdown + full parallelism; real failures fail twice.
   ctest --test-dir "${build_dir}" --output-on-failure -j "$(nproc)" \
-    --repeat until-pass:2 "$@"
+    -R "${regex}" -E context_concurrency --repeat until-pass:2 "$@"
+  # No retry for the context torture suite: a torn snapshot must fail CI the
+  # first time it shows.
+  echo "=== ctest ${build_dir}: context_concurrency_test, no retry ==="
+  ctest --test-dir "${build_dir}" --output-on-failure -R context_concurrency "$@"
 }
 
-run_leg build-ci "" "$@"
+run_leg build-ci "" . "$@"
 echo "=== lint leg: shipped IR models, warnings as errors ==="
 # The ctest wdg_lint_models entry runs with default policy; this leg raises
 # the bar for the shipped models — any warning (iso.*, race.hook-context,
@@ -106,13 +110,14 @@ echo "=== benchmark self-test ==="
 # change that breaks the benchmark's build, its metric printing or its
 # failure accounting fails CI here instead of at the next benchmark run.
 CARGO_TARGET_DIR="${PWD}/build-ci/wdbench" python3 wdbench/run.py --self-test
-run_leg build-ci-asan address "$@"
-# TSan leg: the concurrency suites that hammer the sharded context store and
-# batched hook flush, plus the pooled scheduler/executor scale suite
+run_leg build-ci-asan address . "$@"
+# TSan leg: the concurrency suites that hammer the context store and batched
+# hook publish, plus the pooled scheduler/executor scale suite
 # (abandonment, backpressure, and shutdown races), the chaos/soak tier that
 # storms fixed-size sharded pools + deadline budgets with injected faults, and
 # the signal-suite/fusion tests (FusionDetector::OnFailure runs on scheduler
 # threads; the suite test drives a live driver against a publisher thread).
-run_leg build-ci-tsan thread -R 'context_concurrency|stress_test|driver_scale|driver_chaos|supervisor|detectors_signal' "$@"
+run_leg build-ci-tsan thread \
+  'context_concurrency|stress_test|driver_scale|driver_chaos|supervisor|detectors_signal' "$@"
 
 echo "ci: all three legs green"
